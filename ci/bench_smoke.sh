@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Perf-baseline gate: proves the committed BENCH_*.json artifacts are
-# honest. Three steps:
+# honest, then smoke-tests the wall-clock suite. Four steps:
 #
 #   1. Schema-validate the committed artifacts (ci/validate_bench.py,
 #      stdlib-only), including the <=2% tracer-off overhead gate on the
@@ -11,6 +11,10 @@
 #      gate. Every compared metric is simulated-clock, so the diff is
 #      exactly zero on an unchanged tree — drift means engine behavior
 #      changed and the baseline must be regenerated deliberately.
+#
+#   4. Run the wall-clock suite's smoke mode (bench/suite/run.py --smoke):
+#      its own Release build, every workload at tiny sizes with tracing on,
+#      the output checks, and a corrupted reference that must fail them.
 #
 # The fresh trace-overhead artifact is schema-validated but not gated:
 # wall-clock spreads on a loaded CI host are not evidence about the code.
@@ -70,5 +74,7 @@ python3 "$SRC_DIR/ci/validate_bench.py" --schema "$SCHEMA" \
   "$OUT_DIR/BENCH_fig12.json"
 python3 "$SRC_DIR/ci/validate_bench.py" --schema "$SCHEMA" \
   "$OUT_DIR/BENCH_trace_overhead.json"
+
+python3 "$SRC_DIR/bench/suite/run.py" --smoke
 
 echo "bench smoke: OK"

@@ -1,20 +1,11 @@
 #include "query/distributed_khop.hpp"
 
-#include <algorithm>
-#include <atomic>
-
-#include "net/serialize.hpp"
-#include "obs/event_tracer.hpp"
-#include "util/assert.hpp"
-#include "util/bitops.hpp"
-#include "util/thread_pool.hpp"
-#include "util/timer.hpp"
+#include "query/level_state.hpp"
 
 namespace cgraph {
 namespace {
 
 constexpr std::uint32_t kVisitTag = 0x56495354;  // 'VIST'
-constexpr std::size_t kMaxLevels = 256;
 
 /// Wire record: "visit vertex `target` for query `query` at depth `depth`"
 /// — the sendTo(t, t.hops) of paper Listing 2.
@@ -24,379 +15,31 @@ struct VisitTask {
   Depth depth;
 };
 
+/// One machine of run_distributed_khop: the shared queue engine over
+/// VisitTask records.
+struct KhopMachine : QueueMachine<KhopMachine, VisitTask> {
+  static constexpr std::uint32_t kTag = kVisitTag;
+  using QueueMachine::QueueMachine;
+
+  static VisitTask make_task(VertexId target, VertexId /*parent*/,
+                             QueryId query, Depth depth) {
+    return {target, query, depth};
+  }
+  void record(const VisitTask& /*task*/) {}
+};
+
 }  // namespace
 
 MsBfsBatchResult run_distributed_khop(
     Cluster& cluster, const std::vector<SubgraphShard>& shards,
     const RangePartition& partition, std::span<const KHopQuery> batch,
     Epoch snapshot_epoch) {
-  const std::size_t Q = batch.size();
-  CGRAPH_CHECK(Q > 0);
-  CGRAPH_CHECK(shards.size() == cluster.num_machines());
-  // Pin the snapshot the whole batch reads (DESIGN.md §15); see
-  // run_distributed_msbfs for the isolation argument.
-  const Epoch epoch = snapshot_epoch == kEpochHead
-                          ? current_epoch(std::span<const SubgraphShard>(
-                                shards.data(), shards.size()))
-                          : snapshot_epoch;
-
   MsBfsBatchResult result;
-  result.visited.assign(Q, 0);
-  result.levels.assign(Q, 0);
-  result.completion_wall_seconds.assign(Q, 0.0);
-  result.completion_sim_seconds.assign(Q, 0.0);
-
-  // Shared per-level activity planes (bit q = query q's next frontier is
-  // non-empty somewhere), same reduction scheme as the bit-parallel engine.
-  const std::size_t W = words_for_bits(Q);
-  CGRAPH_CHECK_MSG(W <= QueryBitRows::kMaxBatchWords,
-                   "batch exceeds activity-plane capacity");
-  std::vector<std::atomic<Word>> nonempty_planes(kMaxLevels * W);
-  for (auto& a : nonempty_planes) a.store(0, std::memory_order_relaxed);
-  std::vector<std::atomic<std::uint64_t>> visited_accum(Q);
-  for (auto& a : visited_accum) a.store(0, std::memory_order_relaxed);
-  std::atomic<std::uint64_t> edges_total{0};
-  std::atomic<std::uint64_t> state_bytes_total{0};
-
-  // Per-level telemetry planes (frontier = queued tasks, bit_ops = visited
-  // bitmap test-and-set operations).
-  std::vector<std::atomic<std::uint64_t>> lvl_frontier(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_edges(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_bitops(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_ptasks(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_stealwait_ns(kMaxLevels);
-  for (std::size_t i = 0; i < kMaxLevels; ++i) {
-    lvl_frontier[i].store(0, std::memory_order_relaxed);
-    lvl_edges[i].store(0, std::memory_order_relaxed);
-    lvl_bitops[i].store(0, std::memory_order_relaxed);
-    lvl_ptasks[i].store(0, std::memory_order_relaxed);
-    lvl_stealwait_ns[i].store(0, std::memory_order_relaxed);
-  }
-
-  cluster.reset_clocks();
-  cluster.reset_telemetry();
-  cluster.fabric().reset_counters();
-  cluster.fabric().reset_delivery_state();
-  cluster.reset_protocol_state();
-  WallTimer wall;
-
-  // Crash recovery: after a rollback to checkpointed level L, clear every
-  // shared accumulator the replayed levels will re-contribute to, so the
-  // recovered run's results and telemetry stay bit-exact (replayed work is
-  // counted exactly once).
-  RunHooks hooks;
-  hooks.on_restore = [&] {
-    const std::size_t from_level = static_cast<std::size_t>(
-        cluster.checkpoint_store().latest_common_step() / 2);
-    for (std::size_t l = from_level; l < kMaxLevels; ++l) {
-      for (std::size_t w = 0; w < W; ++w) {
-        nonempty_planes[l * W + w].store(0, std::memory_order_relaxed);
-      }
-      lvl_frontier[l].store(0, std::memory_order_relaxed);
-      lvl_edges[l].store(0, std::memory_order_relaxed);
-      lvl_bitops[l].store(0, std::memory_order_relaxed);
-      lvl_ptasks[l].store(0, std::memory_order_relaxed);
-      lvl_stealwait_ns[l].store(0, std::memory_order_relaxed);
-    }
-    for (auto& a : visited_accum) a.store(0, std::memory_order_relaxed);
-    edges_total.store(0, std::memory_order_relaxed);
-    state_bytes_total.store(0, std::memory_order_relaxed);
-  };
-
-  cluster.run([&](MachineContext& mc) {
-    const SubgraphShard& shard = shards[mc.id()];
-    const VertexRange range = shard.local_range();
-    const VertexId nlocal = range.size();
-    // Intra-machine compute pool (nullptr = serial), sized by
-    // Cluster::set_compute_threads / $CGRAPH_THREADS.
-    ThreadPool* pool = mc.pool();
-
-    // Exactly-once application of exchanged task packets: the visited
-    // bitmap makes task application idempotent anyway, but a duplicated
-    // packet must not re-queue vertices into `next`, so packets are
-    // filtered by (sender, seq) before decoding.
-    DedupFilter dedup;
-
-    // Per-query state: visited bitmap over local vertices and the current
-    // level's task queue (local vertex ids, global numbering).
-    std::vector<Bitmap> visited(Q);
-    std::vector<std::vector<VertexId>> frontier(Q);
-    std::vector<std::vector<VertexId>> next(Q);
-    for (std::size_t q = 0; q < Q; ++q) visited[q].resize(nlocal);
-
-    std::vector<bool> done(Q, false);
-    std::size_t done_count = 0;
-    std::uint64_t my_edges = 0;
-    Depth start_level = 0;
-
-    if (auto ckpt = mc.restore_checkpoint()) {
-      // Re-entering after a crash: resume from the checkpointed level. The
-      // link/clock state was already rolled back by the cluster, so the
-      // replay is bit-exact.
-      PacketReader pr(*ckpt);
-      start_level = static_cast<Depth>(pr.read<std::uint32_t>());
-      done_count = static_cast<std::size_t>(pr.read<std::uint64_t>());
-      for (std::size_t q = 0; q < Q; ++q) {
-        done[q] = pr.read<std::uint8_t>() != 0;
-      }
-      my_edges = pr.read<std::uint64_t>();
-      dedup.deserialize(pr);
-      for (std::size_t q = 0; q < Q; ++q) {
-        const auto words = pr.read_vector<Word>();
-        CGRAPH_CHECK(words.size() == visited[q].size_words());
-        std::copy(words.begin(), words.end(), visited[q].data());
-        frontier[q] = pr.read_vector<VertexId>();
-      }
-      const auto ck_epoch = pr.read<std::uint64_t>();
-      const auto ck_fp = pr.read<std::uint64_t>();
-      CGRAPH_CHECK_MSG(ck_epoch == epoch &&
-                           ck_fp == shard.mutation_fingerprint(epoch),
-                       "checkpoint delta tail mismatch: a restored run "
-                       "must see the snapshot the blob was cut against");
-    } else {
-      for (std::size_t q = 0; q < Q; ++q) {
-        if (range.contains(batch[q].source)) {
-          visited[q].set(batch[q].source - range.begin);
-          frontier[q].push_back(batch[q].source);
-        }
-      }
-    }
-    state_bytes_total.fetch_add(
-        Q * (words_for_bits(nlocal) * sizeof(Word)),
-        std::memory_order_relaxed);
-
-    // Outgoing remote tasks, bucketed per (query, owner machine) so pool
-    // threads never share a bucket; merged per owner in query order below.
-    const std::size_t M = mc.num_machines();
-    std::vector<std::vector<VisitTask>> outbox(Q * M);
-    std::vector<VisitTask> merged;
-
-    for (Depth level = start_level; done_count < Q; ++level) {
-      // Top of level = the consistent cut: staged mailboxes are empty,
-      // outboxes drained and `next` queues just swapped away, so (level,
-      // done, dedup, visited, frontier) is the machine's whole recoverable
-      // state.
-      mc.maybe_checkpoint([&](PacketWriter& pw) {
-        pw.write<std::uint32_t>(level);
-        pw.write<std::uint64_t>(done_count);
-        for (std::size_t q = 0; q < Q; ++q) {
-          pw.write<std::uint8_t>(done[q] ? 1 : 0);
-        }
-        pw.write<std::uint64_t>(my_edges);
-        dedup.serialize(pw);
-        for (std::size_t q = 0; q < Q; ++q) {
-          pw.write_span<Word>({visited[q].data(), visited[q].size_words()});
-          pw.write_span<VertexId>(
-              {frontier[q].data(), frontier[q].size()});
-        }
-        // Delta tail: the snapshot this blob was cut against (see the
-        // bit-parallel engine's checkpoint for the adoption argument).
-        pw.write<std::uint64_t>(epoch);
-        pw.write<std::uint64_t>(shard.mutation_fingerprint(epoch));
-      });
-      const bool tracing = obs::tracing_enabled();
-      const double scan_sim_t0 = tracing ? mc.clock().seconds() : 0.0;
-      WallTimer phase_wall;
-      // --- Expand every active query's local frontier (Listing 2 body).
-      // Pool threads claim ranges of queries: all of query q's state
-      // (visited[q], next[q], its outbox row) is touched by exactly one
-      // thread, and the merged per-destination packets below are assembled
-      // in query order, so queue contents and wire bytes are identical to
-      // the serial scatter for any thread count.
-      std::atomic<std::uint64_t> edges_acc{0};
-      std::atomic<std::uint64_t> tasks_acc{0};
-      std::atomic<std::uint64_t> tnset_acc{0};
-      const ParallelForStats scatter_stats = parallel_ranges(
-          pool, Q, [&](std::size_t qb, std::size_t qe) {
-            std::uint64_t chunk_edges = 0;
-            std::uint64_t chunk_tasks = 0;
-            std::uint64_t chunk_tnset = 0;
-            for (std::size_t q = qb; q < qe; ++q) {
-              if (batch[q].k <= level) continue;  // s.hops == k: stop
-              chunk_tasks += frontier[q].size();
-              for (VertexId s : frontier[q]) {
-                // Merged view: tiled base edges minus tombstones plus
-                // delta inserts at the pinned epoch. Falls through to the
-                // plain tile scan for vertices with no events.
-                shard.for_each_out_neighbor_at(s, epoch, [&](VertexId t) {
-                  ++chunk_edges;
-                  if (range.contains(t)) {
-                    ++chunk_tnset;
-                    if (visited[q].atomic_test_and_set(t - range.begin)) {
-                      next[q].push_back(t);  // Q.push(t)
-                    }
-                  } else {
-                    // sendTo(t, t.hops): dedup at the receiver's visited
-                    // set.
-                    outbox[q * M + partition.owner(t)].push_back(
-                        {t, static_cast<QueryId>(q),
-                         static_cast<Depth>(level + 1)});
-                  }
-                });
-              }
-            }
-            edges_acc.fetch_add(chunk_edges, std::memory_order_relaxed);
-            tasks_acc.fetch_add(chunk_tasks, std::memory_order_relaxed);
-            tnset_acc.fetch_add(chunk_tnset, std::memory_order_relaxed);
-          });
-      const std::uint64_t level_edges =
-          edges_acc.load(std::memory_order_relaxed);
-      const std::uint64_t level_tasks =
-          tasks_acc.load(std::memory_order_relaxed);
-      std::uint64_t level_tnset = tnset_acc.load(std::memory_order_relaxed);
-      my_edges += level_edges;
-      mc.charge_compute(level_edges);
-      if (tracing) {
-        obs::TraceEvent ev;
-        ev.phase = obs::TraceEventPhase::kSuperstepScan;
-        ev.kind = obs::TraceEventKind::kSpan;
-        ev.machine = static_cast<std::int32_t>(mc.id());
-        ev.level = static_cast<std::int32_t>(level);
-        ev.sim_seconds = scan_sim_t0;
-        ev.sim_dur_seconds = mc.clock().seconds() - scan_sim_t0;
-        ev.wall_dur_ns = phase_wall.nanos();
-        ev.a = static_cast<double>(level_edges);
-        ev.b = static_cast<double>(level_tasks);
-        obs::trace(ev);
-      }
-
-      for (PartitionId to = 0; to < M; ++to) {
-        merged.clear();
-        for (std::size_t q = 0; q < Q; ++q) {
-          std::vector<VisitTask>& bucket = outbox[q * M + to];
-          merged.insert(merged.end(), bucket.begin(), bucket.end());
-          bucket.clear();
-        }
-        if (merged.empty()) continue;
-        PacketWriter pw;
-        pw.write_span(std::span<const VisitTask>(merged));
-        mc.send(to, kVisitTag, pw.take());
-      }
-      mc.barrier();  // ---- exchange remote task buffers ----
-
-      const double commit_sim_t0 = tracing ? mc.clock().seconds() : 0.0;
-      phase_wall.reset();
-      std::uint64_t staged_envelopes = 0;
-      for (Envelope& env : mc.recv_staged()) {
-        ++staged_envelopes;
-        CGRAPH_CHECK(env.tag == kVisitTag);
-        if (!dedup.accept(env.from, env.seq)) {
-          mc.cluster().fabric().record_dedup_suppressed(mc.id());
-          continue;
-        }
-        PacketReader pr(env.payload);
-        for (const VisitTask& task : pr.read_vector<VisitTask>()) {
-          CGRAPH_DCHECK(range.contains(task.target));
-          ++level_tnset;
-          if (visited[task.query].atomic_test_and_set(task.target -
-                                                      range.begin)) {
-            next[task.query].push_back(task.target);
-          }
-        }
-      }
-      lvl_frontier[static_cast<std::size_t>(level)].fetch_add(
-          level_tasks, std::memory_order_relaxed);
-      lvl_edges[static_cast<std::size_t>(level)].fetch_add(
-          level_edges, std::memory_order_relaxed);
-      lvl_bitops[static_cast<std::size_t>(level)].fetch_add(
-          level_tnset, std::memory_order_relaxed);
-      lvl_ptasks[static_cast<std::size_t>(level)].fetch_add(
-          scatter_stats.tasks, std::memory_order_relaxed);
-      lvl_stealwait_ns[static_cast<std::size_t>(level)].fetch_add(
-          static_cast<std::uint64_t>(scatter_stats.join_wait_seconds * 1e9),
-          std::memory_order_relaxed);
-
-      // --- Publish activity, advance queues.
-      {
-        Word local_nonempty[QueryBitRows::kMaxBatchWords] = {};
-        for (std::size_t q = 0; q < Q; ++q) {
-          if (!next[q].empty()) {
-            local_nonempty[q / kWordBits] |= Word{1} << (q % kWordBits);
-          }
-        }
-        for (std::size_t w = 0; w < W; ++w) {
-          if (local_nonempty[w] != 0) {
-            nonempty_planes[static_cast<std::size_t>(level) * W + w]
-                .fetch_or(local_nonempty[w], std::memory_order_acq_rel);
-          }
-        }
-      }
-      for (std::size_t q = 0; q < Q; ++q) {
-        frontier[q].swap(next[q]);  // Q.pop of the drained level
-        next[q].clear();
-      }
-      if (tracing) {
-        obs::TraceEvent ev;
-        ev.phase = obs::TraceEventPhase::kSuperstepCommit;
-        ev.kind = obs::TraceEventKind::kSpan;
-        ev.machine = static_cast<std::int32_t>(mc.id());
-        ev.level = static_cast<std::int32_t>(level);
-        ev.sim_seconds = commit_sim_t0;
-        ev.sim_dur_seconds = mc.clock().seconds() - commit_sim_t0;
-        ev.wall_dur_ns = phase_wall.nanos();
-        ev.a = static_cast<double>(staged_envelopes);
-        obs::trace(ev);
-      }
-      mc.barrier();  // ---- level close ----
-
-      for (std::size_t q = 0; q < Q; ++q) {
-        if (done[q]) continue;
-        const Word plane =
-            nonempty_planes[static_cast<std::size_t>(level) * W +
-                            q / kWordBits]
-                .load(std::memory_order_acquire);
-        const bool empty_next = ((plane >> (q % kWordBits)) & 1u) == 0;
-        const bool k_exhausted = static_cast<Depth>(level + 1) >= batch[q].k;
-        if (empty_next || k_exhausted) {
-          done[q] = true;
-          ++done_count;
-          if (mc.id() == 0) {
-            result.levels[q] = static_cast<Depth>(level + 1);
-            result.completion_wall_seconds[q] = wall.seconds();
-            result.completion_sim_seconds[q] = mc.clock().seconds();
-          }
-        }
-      }
-      if (mc.id() == 0) result.total_levels = static_cast<Depth>(level + 1);
-      CGRAPH_CHECK_MSG(static_cast<std::size_t>(level) + 1 < kMaxLevels,
-                       "traversal exceeded level cap");
-    }
-
-    for (std::size_t q = 0; q < Q; ++q) {
-      visited_accum[q].fetch_add(visited[q].count(),
-                                 std::memory_order_relaxed);
-    }
-    edges_total.fetch_add(my_edges, std::memory_order_relaxed);
-  }, hooks);
-
-  for (std::size_t q = 0; q < Q; ++q) {
-    const std::uint64_t v = visited_accum[q].load(std::memory_order_relaxed);
-    result.visited[q] = v > 0 ? v - 1 : 0;
-  }
-  result.wall_seconds = wall.seconds();
-  result.sim_seconds = cluster.sim_seconds();
-  result.edges_scanned = edges_total.load(std::memory_order_relaxed);
-  result.frontier_bytes = state_bytes_total.load(std::memory_order_relaxed);
-
-  // Each traversal level runs two barriers (task exchange + level close), so
-  // level l pairs with superstep telemetry records 2l and 2l+1.
-  const auto& steps = cluster.telemetry().supersteps;
-  for (std::size_t l = 0; l < result.total_levels; ++l) {
-    obs::LevelTrace lt;
-    lt.level = static_cast<std::uint32_t>(l);
-    lt.frontier_vertices = lvl_frontier[l].load(std::memory_order_relaxed);
-    lt.edges_scanned = lvl_edges[l].load(std::memory_order_relaxed);
-    lt.bit_ops = lvl_bitops[l].load(std::memory_order_relaxed);
-    lt.parallel_tasks = lvl_ptasks[l].load(std::memory_order_relaxed);
-    lt.steal_wait_seconds =
-        static_cast<double>(
-            lvl_stealwait_ns[l].load(std::memory_order_relaxed)) *
-        1e-9;
-    for (std::size_t s = 2 * l; s < 2 * l + 2 && s < steps.size(); ++s) {
-      lt.barrier_wait_sim_seconds += steps[s].barrier_wait_sim_seconds;
-    }
-    result.level_trace.push_back(lt);
-  }
+  LevelRun run(cluster, shards, batch.size(), snapshot_epoch, result);
+  run.run([&](MachineContext& mc) {
+    return KhopMachine(run, mc, batch, partition);
+  });
+  run.finish([](std::size_t) { return 1; });
   return result;
 }
 

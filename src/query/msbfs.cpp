@@ -1,14 +1,16 @@
 #include "query/msbfs.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <type_traits>
 
 #include "net/serialize.hpp"
 #include "obs/event_tracer.hpp"
 #include "query/frontier.hpp"
+#include "query/level_state.hpp"
 #include "util/assert.hpp"
 #include "util/timer.hpp"
 
@@ -16,16 +18,12 @@ namespace cgraph {
 namespace {
 
 constexpr std::uint32_t kRemoteDiscoverTag = 0x52444953;  // 'RDIS'
-// Depth is uint8_t, so no traversal can exceed 255 levels; +1 slack.
-constexpr std::size_t kMaxLevels = 256;
 
 // Sparse top-down scans iterate the active-row queue instead of testing
 // every row once the queue is this many times smaller than the vertex
 // count. Purely a work-saving choice: queue and full scans expand the
 // same rows, so every downstream bit and counter is identical.
 constexpr std::uint64_t kSparseQueueFactor = 8;
-
-using WordRow = std::array<Word, QueryBitRows::kMaxBatchWords>;
 
 /// Internal batch form shared by the single- and multi-source overloads:
 /// per query, a hop bound and a list of distinct seed vertices.
@@ -36,29 +34,23 @@ struct SeededBatch {
   [[nodiscard]] std::size_t size() const { return ks.size(); }
 };
 
-SeededBatch to_seeded(std::span<const KHopQuery> batch) {
+template <typename Query>
+SeededBatch to_seeded(std::span<const Query> batch) {
   SeededBatch sb;
   sb.ks.reserve(batch.size());
   sb.seeds.reserve(batch.size());
-  for (const KHopQuery& q : batch) {
+  for (const Query& q : batch) {
     sb.ks.push_back(q.k);
-    sb.seeds.push_back({q.source});
-  }
-  return sb;
-}
-
-SeededBatch to_seeded(std::span<const MultiKHopQuery> batch) {
-  SeededBatch sb;
-  sb.ks.reserve(batch.size());
-  sb.seeds.reserve(batch.size());
-  for (const MultiKHopQuery& q : batch) {
-    CGRAPH_CHECK_MSG(!q.sources.empty(),
-                     "multi-source query needs at least one source");
-    sb.ks.push_back(q.k);
-    std::vector<VertexId> seeds = q.sources;
-    std::sort(seeds.begin(), seeds.end());
-    seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
-    sb.seeds.push_back(std::move(seeds));
+    if constexpr (std::is_same_v<Query, KHopQuery>) {
+      sb.seeds.push_back({q.source});
+    } else {
+      CGRAPH_CHECK_MSG(!q.sources.empty(),
+                       "multi-source query needs at least one source");
+      std::vector<VertexId> seeds = q.sources;
+      std::sort(seeds.begin(), seeds.end());
+      seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
+      sb.seeds.push_back(std::move(seeds));
+    }
   }
   return sb;
 }
@@ -128,6 +120,73 @@ TraversalDirection decide_direction(const DirectionOptions& opts,
              : TraversalDirection::kPull;
 }
 
+/// One level's commit pass: the per-query occupancy of the next frontier,
+/// its density/scout inputs, and the pool statistics.
+struct LevelCommit {
+  WordRow nonempty{};
+  FrontierOccupancy occ;
+  ParallelForStats stats;
+};
+
+/// Commit a level over every row of `bf` (visited |= next, once), carry
+/// the next level's occupancy and direction inputs out of the same pass,
+/// and advance. When `queue` is non-null it is rebuilt with the new
+/// frontier's active rows in ascending order.
+LevelCommit commit_level(ThreadPool* pool, BatchFrontier& bf,
+                         std::span<const EdgeIndex> degrees,
+                         std::vector<VertexId>* queue) {
+  LevelCommit c;
+  std::vector<std::pair<std::size_t, std::vector<VertexId>>> active_chunks;
+  std::mutex mu;
+  c.stats = parallel_ranges(
+      pool, bf.num_vertices(), [&](std::size_t vb, std::size_t ve) {
+        WordRow chunk_nonempty{};
+        std::vector<VertexId> chunk_active;
+        const FrontierOccupancy chunk_occ =
+            bf.commit_rows(vb, ve, chunk_nonempty.data(), degrees,
+                           queue != nullptr ? &chunk_active : nullptr);
+        std::lock_guard<std::mutex> lock(mu);
+        for (std::size_t w = 0; w < bf.words_per_row(); ++w) {
+          c.nonempty[w] |= chunk_nonempty[w];
+        }
+        c.occ += chunk_occ;
+        if (queue != nullptr) {
+          active_chunks.emplace_back(vb, std::move(chunk_active));
+        }
+      });
+  if (queue != nullptr) {
+    // Chunks are contiguous ranges, so sorting by range start restores the
+    // global ascending order regardless of which thread finished first.
+    std::sort(active_chunks.begin(), active_chunks.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    queue->clear();
+    for (auto& chunk : active_chunks) {
+      queue->insert(queue->end(), chunk.second.begin(), chunk.second.end());
+    }
+  }
+  bf.advance(c.nonempty.data());  // O(words): reuse the commit-phase mask
+  return c;
+}
+
+/// Per-query visited bits over the rows of `bf` (seeds included);
+/// `merge(counts)` receives each chunk's totals, possibly concurrently.
+template <typename Merge>
+void count_visited(ThreadPool* pool, const BatchFrontier& bf,
+                   Merge&& merge) {
+  parallel_ranges(pool, bf.num_vertices(), [&](std::size_t vb,
+                                               std::size_t ve) {
+    std::vector<std::uint64_t> counts(bf.num_queries(), 0);
+    for (std::size_t v = vb; v < ve; ++v) {
+      const Word* row = bf.visited().row(v);
+      for (std::size_t w = 0; w < bf.words_per_row(); ++w) {
+        for_each_set_bit(row[w], w * kWordBits,
+                         [&](std::size_t q) { ++counts[q]; });
+      }
+    }
+    merge(counts);
+  });
+}
+
 MsBfsBatchResult msbfs_batch_core(const Graph& graph,
                                   const SeededBatch& batch,
                                   std::size_t threads,
@@ -184,14 +243,6 @@ MsBfsBatchResult msbfs_batch_core(const Graph& graph,
   bool pulling = false;
   WallTimer wall;
 
-  auto mark_done = [&](std::size_t q, Depth levels_run) {
-    if (done[q]) return;
-    done[q] = true;
-    ++done_count;
-    result.levels[q] = levels_run;
-    result.completion_wall_seconds[q] = wall.seconds();
-  };
-
   for (Depth level = 0; done_count < Q; ++level) {
     const WordRow expand = expand_mask_for_level(batch.ks, level);
 
@@ -215,47 +266,34 @@ MsBfsBatchResult msbfs_batch_core(const Graph& graph,
       // below), so any thread interleaving produces exactly the serial
       // scan's bits. A sparse frontier iterates the active-row queue
       // instead of testing all n rows — same rows expand either way.
-      auto expand_row = [&](std::size_t v, WordRow& masked,
-                            std::uint64_t& chunk_frontier,
-                            std::uint64_t& chunk_edges) {
-        const Word* row = bf.frontier().row(v);
-        if (!row_masked_any(row, expand, W, masked)) return;
-        ++chunk_frontier;
-        const auto nbrs = graph.out_neighbors(static_cast<VertexId>(v));
-        for (VertexId t : nbrs) {
-          bf.discover_atomic(t, masked.data());
-        }
-        chunk_edges += nbrs.size();
+      auto scan_rows = [&](std::size_t count, auto row_of) {
+        return parallel_ranges(
+            pool, count, [&](std::size_t ib, std::size_t ie) {
+              WordRow masked;
+              std::uint64_t chunk_frontier = 0;
+              std::uint64_t chunk_edges = 0;
+              for (std::size_t i = ib; i < ie; ++i) {
+                const VertexId v = row_of(i);
+                if (!row_masked_any(bf.frontier().row(v), expand, W, masked)) {
+                  continue;
+                }
+                ++chunk_frontier;
+                const auto nbrs = graph.out_neighbors(v);
+                for (VertexId t : nbrs) bf.discover_atomic(t, masked.data());
+                chunk_edges += nbrs.size();
+              }
+              frontier_acc.fetch_add(chunk_frontier,
+                                     std::memory_order_relaxed);
+              edges_acc.fetch_add(chunk_edges, std::memory_order_relaxed);
+            });
       };
       const bool sparse =
           queue.size() * kSparseQueueFactor < static_cast<std::size_t>(n);
-      if (sparse) {
-        scan_stats = parallel_ranges(
-            pool, queue.size(), [&](std::size_t qb, std::size_t qe) {
-              WordRow masked;
-              std::uint64_t chunk_frontier = 0;
-              std::uint64_t chunk_edges = 0;
-              for (std::size_t i = qb; i < qe; ++i) {
-                expand_row(queue[i], masked, chunk_frontier, chunk_edges);
-              }
-              frontier_acc.fetch_add(chunk_frontier,
-                                     std::memory_order_relaxed);
-              edges_acc.fetch_add(chunk_edges, std::memory_order_relaxed);
-            });
-      } else {
-        scan_stats = parallel_ranges(
-            pool, n, [&](std::size_t vb, std::size_t ve) {
-              WordRow masked;
-              std::uint64_t chunk_frontier = 0;
-              std::uint64_t chunk_edges = 0;
-              for (std::size_t v = vb; v < ve; ++v) {
-                expand_row(v, masked, chunk_frontier, chunk_edges);
-              }
-              frontier_acc.fetch_add(chunk_frontier,
-                                     std::memory_order_relaxed);
-              edges_acc.fetch_add(chunk_edges, std::memory_order_relaxed);
-            });
-      }
+      scan_stats = sparse ? scan_rows(queue.size(),
+                                      [&](std::size_t i) { return queue[i]; })
+                          : scan_rows(n, [](std::size_t i) {
+                              return static_cast<VertexId>(i);
+                            });
     } else {
       // Bottom-up scan: threads claim disjoint ranges of *rows to fill*;
       // each unvisited row ANDs its parents' frontier words into its own
@@ -282,35 +320,8 @@ MsBfsBatchResult msbfs_batch_core(const Graph& graph,
           });
     }
 
-    // Commit: fold the next plane into visited once for the whole level,
-    // collect the per-query occupancy of the next frontier, and carry the
-    // next level's density + scout count out of the same pass.
-    WordRow nonempty{};
-    FrontierOccupancy occ_next;
-    std::vector<std::pair<std::size_t, std::vector<VertexId>>> active_chunks;
-    std::mutex nonempty_mu;
-    const ParallelForStats commit_stats = parallel_ranges(
-        pool, n, [&](std::size_t vb, std::size_t ve) {
-          WordRow chunk_nonempty{};
-          std::vector<VertexId> chunk_active;
-          const FrontierOccupancy chunk_occ = bf.commit_rows(
-              vb, ve, chunk_nonempty.data(), degrees, &chunk_active);
-          std::lock_guard<std::mutex> lock(nonempty_mu);
-          for (std::size_t w = 0; w < W; ++w) nonempty[w] |= chunk_nonempty[w];
-          occ_next += chunk_occ;
-          active_chunks.emplace_back(vb, std::move(chunk_active));
-        });
-    // Rebuild the queue from the per-chunk pieces in row order (chunks are
-    // contiguous ranges, so sorting by range start restores the global
-    // ascending order regardless of which thread finished first).
-    std::sort(active_chunks.begin(), active_chunks.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    queue.clear();
-    for (auto& [begin_row, rows] : active_chunks) {
-      (void)begin_row;
-      queue.insert(queue.end(), rows.begin(), rows.end());
-    }
-    occ = occ_next;
+    const LevelCommit committed = commit_level(pool, bf, degrees, &queue);
+    occ = committed.occ;
 
     lt.frontier_vertices = frontier_acc.load(std::memory_order_relaxed);
     const std::uint64_t discovers =
@@ -327,22 +338,25 @@ MsBfsBatchResult msbfs_batch_core(const Graph& graph,
                            discovers * 2 * W
                      : 2 * static_cast<std::uint64_t>(n) * W +
                            discovers * 3 * W;
-    lt.parallel_tasks = scan_stats.tasks + commit_stats.tasks;
-    lt.steal_wait_seconds =
-        scan_stats.join_wait_seconds + commit_stats.join_wait_seconds;
+    lt.parallel_tasks = scan_stats.tasks + committed.stats.tasks;
+    lt.steal_wait_seconds = scan_stats.join_wait_seconds +
+                            committed.stats.join_wait_seconds;
     result.level_trace.push_back(lt);
 
-    bf.advance(nonempty.data());  // O(words): reuse the commit-phase mask
     result.total_levels = static_cast<Depth>(level + 1);
 
     for (std::size_t q = 0; q < Q; ++q) {
       if (done[q]) continue;
       const bool empty_next =
-          ((nonempty[q / kWordBits] >> (q % kWordBits)) & 1u) == 0;
+          ((committed.nonempty[q / kWordBits] >> (q % kWordBits)) & 1u) ==
+          0;
       const bool k_exhausted =
           static_cast<Depth>(level + 1) >= batch.ks[q];
       if (empty_next || k_exhausted) {
-        mark_done(q, static_cast<Depth>(level + 1));
+        done[q] = true;
+        ++done_count;
+        result.levels[q] = static_cast<Depth>(level + 1);
+        result.completion_wall_seconds[q] = wall.seconds();
       }
     }
     CGRAPH_CHECK_MSG(static_cast<std::size_t>(level) + 1 < kMaxLevels,
@@ -350,26 +364,14 @@ MsBfsBatchResult msbfs_batch_core(const Graph& graph,
   }
 
   // Visited counts per query (the seeds themselves excluded).
-  {
-    std::mutex visited_mu;
-    parallel_ranges(pool, n, [&](std::size_t vb, std::size_t ve) {
-      std::vector<std::uint64_t> counts(Q, 0);
-      for (std::size_t v = vb; v < ve; ++v) {
-        const Word* row = bf.visited().row(v);
-        for (std::size_t w = 0; w < W; ++w) {
-          for_each_set_bit(row[w], w * kWordBits,
-                           [&](std::size_t q) { ++counts[q]; });
-        }
-      }
-      std::lock_guard<std::mutex> lock(visited_mu);
-      for (std::size_t q = 0; q < Q; ++q) result.visited[q] += counts[q];
-    });
-  }
+  std::mutex visited_mu;
+  count_visited(pool, bf, [&](const std::vector<std::uint64_t>& counts) {
+    std::lock_guard<std::mutex> lock(visited_mu);
+    for (std::size_t q = 0; q < Q; ++q) result.visited[q] += counts[q];
+  });
   for (std::size_t q = 0; q < Q; ++q) {
-    const std::uint64_t seeds = batch.seeds[q].size();
-    result.visited[q] = result.visited[q] > seeds
-                            ? result.visited[q] - seeds
-                            : 0;
+    result.visited[q] -= std::min<std::uint64_t>(result.visited[q],
+                                                 batch.seeds[q].size());
   }
   if (visited_out != nullptr) *visited_out = bf.visited();
 
@@ -379,26 +381,359 @@ MsBfsBatchResult msbfs_batch_core(const Graph& graph,
   return result;
 }
 
+/// One machine of run_distributed_msbfs, driven through the phases of
+/// LevelRun::run: its partition's frontier planes, the direction
+/// hysteresis, and the dense remote accumulator.
+struct MsbfsMachine : LevelMachine {
+  static constexpr std::uint32_t kTag = kRemoteDiscoverTag;
+
+  MsbfsMachine(LevelRun& r, MachineContext& c, const SeededBatch& b,
+               const RangePartition& p, const DirectionOptions& d,
+               QueryBitRows* out)
+      : LevelMachine(b.size()),
+        run(r),
+        mc(c),
+        batch(b),
+        partition(p),
+        direction(d),
+        visited_out(out) {
+    for (EdgeIndex deg : degrees) total_out_edges += deg;
+    run.state_bytes += bf.memory_bytes();
+  }
+
+  LevelRun& run;
+  MachineContext& mc;
+  const SeededBatch& batch;
+  const RangePartition& partition;
+  const DirectionOptions& direction;
+  QueryBitRows* visited_out;
+  const SubgraphShard& shard = run.shards[mc.id()];
+  const VertexRange range = shard.local_range();
+  const VertexId nlocal = range.size();
+  const std::size_t W = run.words;
+  // Intra-machine compute pool (nullptr = serial), sized by
+  // Cluster::set_compute_threads / $CGRAPH_THREADS.
+  ThreadPool* pool = mc.pool();
+  // Direction heuristic inputs for this partition: static out-degrees
+  // (scout counts) and the partition's own edge total — the decision is
+  // per level per partition.
+  const std::span<const EdgeIndex> degrees{shard.out_degrees()};
+  std::uint64_t total_out_edges = 0;
+  // Delta edge-sets overlay the tiled base structures (DESIGN.md §15).
+  // Without uncompacted events every delta gate below is a dead branch
+  // and the scan is byte-for-byte the frozen path.
+  const bool mutating = shard.has_mutations();
+  BatchFrontier bf{nlocal, batch.size()};
+  bool pulling = false;
+  // Occupancy entering the level. Recomputed from the frontier plane on
+  // the first (or restored) level, which reproduces the commit-carried
+  // values exactly, so direction decisions replay bit-exact.
+  std::optional<FrontierOccupancy> occ;
+  // Remote accumulator: dense bit rows over the whole global space plus
+  // a touched list, so per-destination rows are OR-combined before they
+  // hit the wire (bounded by boundary vertices, not edges).
+  std::vector<Word> remote_acc = std::vector<Word>(
+      static_cast<std::size_t>(shard.num_global_vertices()) * W, 0);
+  std::vector<VertexId> touched;
+  Bitmap touched_bm{shard.num_global_vertices()};
+  std::mutex touched_mu;
+
+  [[nodiscard]] Depth hops(std::size_t q) const { return batch.ks[q]; }
+
+  void seed() {
+    for (std::size_t q = 0; q < batch.size(); ++q) {
+      for (VertexId source : batch.seeds[q]) {
+        CGRAPH_CHECK(source < shard.num_global_vertices());
+        if (range.contains(source)) bf.seed(source - range.begin, q);
+      }
+    }
+  }
+
+  /// At the top-of-level cut the next plane is empty, so the frontier and
+  /// visited planes plus the direction hysteresis are the whole state.
+  template <typename Ar>
+  void transfer(Ar& ar) {
+    ar.state(bf);
+    ar(pulling);
+    if (mc.id() == 0) {
+      // Machine 0 owns the per-query completion metadata. A restore on
+      // this cluster keeps `result` alive by reference, but a surviving
+      // replica adopting this cut starts with zeroed result arrays, so
+      // pre-cut completions must travel inside the blob.
+      MsBfsBatchResult& result = run.result;
+      ar.depth(result.total_levels);
+      for (std::size_t q = 0; q < batch.size(); ++q) {
+        ar.depth(result.levels[q]);
+        ar(result.completion_wall_seconds[q]);
+        ar(result.completion_sim_seconds[q]);
+      }
+    }
+  }
+
+  ScanTotals scan() {
+    if (!occ) occ = bf.frontier_occupancy(degrees);
+    const WordRow expand = expand_mask_for_level(batch.ks, level);
+    pulling = decide_direction(direction, shard.has_in_edges(), pulling,
+                               *occ, total_out_edges, nlocal) ==
+              TraversalDirection::kPull;
+    LevelCounters& counters = run.at(level);
+    ++(pulling ? counters.pull_machines : counters.push_machines);
+    counters.scout_edges += occ->scout_edges;
+    if (obs::tracing_enabled()) {
+      obs::trace({.phase = obs::TraceEventPhase::kDirectionChoice,
+                  .kind = obs::TraceEventKind::kInstant,
+                  .machine = static_cast<std::int32_t>(mc.id()),
+                  .level = static_cast<std::int32_t>(level),
+                  .sim_seconds = mc.clock().seconds(),
+                  .a = pulling ? 1.0 : 0.0,
+                  .b = static_cast<double>(occ->scout_edges)});
+    }
+
+    // --- Telemetry: local frontier occupancy entering this level.
+    std::atomic<std::uint64_t> frontier{0};
+    const ParallelForStats occ_stats = parallel_ranges(
+        pool, nlocal, [&](std::size_t vb, std::size_t ve) {
+          WordRow masked;
+          std::uint64_t chunk_frontier = 0;
+          for (std::size_t v = vb; v < ve; ++v) {
+            if (row_masked_any(bf.frontier().row(v), expand, W, masked)) {
+              ++chunk_frontier;
+            }
+          }
+          frontier += chunk_frontier;
+        });
+
+    std::atomic<std::uint64_t> pushed{0};
+    std::atomic<std::uint64_t> rows{0};
+    ParallelForStats pull_stats;
+    const std::uint64_t examined =
+        pulling ? scan_in_edges(expand, pull_stats) : 0;
+    const ParallelForStats scan_stats =
+        scan_out_sets(expand, /*skip_local=*/pulling, pushed, rows);
+    pushed += scan_delta_extras(expand);
+
+    const std::uint64_t level_edges = pushed + examined;
+    // Bitmap words touched this level. Push: occupancy pre-scan + per-row
+    // frontier masks + three word-ops per discovered neighbor row, plus
+    // the occupancy publish scan. Pull: the same pre/publish scans, the
+    // per-row want computation, two word-ops per parent examined, and the
+    // boundary rows' masks + remote ORs.
+    counters.bit_ops +=
+        pulling ? (static_cast<std::uint64_t>(nlocal) * 3 + rows +
+                   examined * 2 + pushed * 3) *
+                      W
+                : (static_cast<std::uint64_t>(nlocal) * 2 + rows +
+                   level_edges * 3) *
+                      W;
+    counters.frontier += frontier;
+    counters.add_pool({occ_stats, scan_stats, pull_stats});
+    return {level_edges, frontier};
+  }
+
+  /// Top-down scan of the local out-edge tiles. Pool threads claim ranges
+  /// of flat block indices (each block is an LLC-sized EdgeSet tile, the
+  /// natural unit of intra-machine work); every edge goes through
+  /// discover(), with visited frozen. With `skip_local` (pull mode, whose
+  /// bottom-up pass already covered local targets) only boundary edges
+  /// push, so the shipped packets — and every fault-plan decision, barrier
+  /// count and checkpoint cut downstream — are byte-identical to push
+  /// mode; blocks whose destinations are all local are skipped, the
+  /// pull-side saving.
+  ParallelForStats scan_out_sets(const WordRow& expand, bool skip_local,
+                                 std::atomic<std::uint64_t>& pushed,
+                                 std::atomic<std::uint64_t>& rows) {
+    const EdgeSetGrid& grid = shard.out_sets();
+    const DeltaEdgeSet& dout = shard.delta_out();
+    return parallel_ranges(
+        pool, grid.num_sets(), [&](std::size_t bb, std::size_t be) {
+          WordRow masked;
+          std::uint64_t chunk_edges = 0;
+          std::uint64_t chunk_rows = 0;
+          std::vector<VertexId> chunk_touched;
+          for (std::size_t b = bb; b < be; ++b) {
+            const EdgeSet& es = grid.set_at(b);
+            if (skip_local && es.dst_range().begin >= range.begin &&
+                es.dst_range().end <= range.end) {
+              continue;
+            }
+            const VertexRange rr = grid.row_range(grid.row_of_set(b));
+            for (VertexId v = rr.begin; v < rr.end; ++v) {
+              const Word* row = bf.frontier().row(v - range.begin);
+              ++chunk_rows;
+              if (!row_masked_any(row, expand, W, masked)) continue;
+              const auto nbrs = es.neighbors(v);
+              chunk_edges += nbrs.size();
+              const bool vdel = mutating && dout.has_deletes(v);
+              for (VertexId t : nbrs) {
+                if (vdel && dout.edge_deleted(v, t, run.epoch)) continue;
+                discover(t, masked, skip_local, chunk_touched);
+              }
+            }
+          }
+          pushed += chunk_edges;
+          rows += chunk_rows;
+          if (!chunk_touched.empty()) {
+            // Merged here, sorted before shipping, so packets stay
+            // byte-identical to the serial scan.
+            std::lock_guard<std::mutex> lock(touched_mu);
+            touched.insert(touched.end(), chunk_touched.begin(),
+                           chunk_touched.end());
+          }
+        });
+  }
+
+  /// Bottom-up local scan over the partition's CSC: each thread owns a
+  /// disjoint range of unvisited rows and ANDs local parents' frontier
+  /// words into them (plain writes — one writer per row). Parents outside
+  /// the local range are skipped; their contributions arrive through the
+  /// boundary push, exactly as in push mode. Returns parents examined.
+  std::uint64_t scan_in_edges(const WordRow& expand,
+                              ParallelForStats& stats) {
+    const DeltaEdgeSet& din = shard.delta_in();
+    std::atomic<std::uint64_t> examined{0};
+    stats = parallel_ranges(
+        pool, nlocal, [&](std::size_t vb, std::size_t ve) {
+          std::uint64_t chunk_examined = 0;
+          std::vector<VertexId> merged;
+          for (std::size_t v = vb; v < ve; ++v) {
+            const VertexId vg = range.begin + static_cast<VertexId>(v);
+            if (mutating && din.has_events(vg)) {
+              // Rows with in-side delta events pull from a merged parent
+              // list — base parents minus tombstones plus inserted
+              // parents, in the same globally sorted order a compacted
+              // rebuild would produce — so the examined count (and every
+              // downstream bit) matches the frozen equivalent exactly.
+              merged.clear();
+              shard.for_each_in_parent_at(
+                  vg, run.epoch, [&](VertexId p) { merged.push_back(p); });
+              chunk_examined += bf.pull_row(
+                  v, expand.data(),
+                  std::span<const VertexId>(merged.data(), merged.size()),
+                  range.begin, range.end);
+            } else {
+              chunk_examined +=
+                  bf.pull_row(v, expand.data(), shard.in_csr().neighbors(v),
+                              range.begin, range.end);
+            }
+          }
+          examined += chunk_examined;
+        });
+    return examined;
+  }
+
+  /// Delta extras: edges inserted after ingestion live in the
+  /// per-partition event sets, not the tiled base structures; they take
+  /// the identical local / remote discovery paths (OR-discovery is
+  /// idempotent and commutative, and the remote accumulator is indexed by
+  /// global id, so a brand-new boundary destination needs no boundary-list
+  /// changes). The pass is serial — per-vertex event lists are tiny —
+  /// which also pins a deterministic extras count across thread counts.
+  /// In pull mode local extras were already covered by the merged-parent
+  /// pull rows, so only boundary targets push. Returns the extra edges.
+  std::uint64_t scan_delta_extras(const WordRow& expand) {
+    const DeltaEdgeSet& dout = shard.delta_out();
+    if (!mutating || dout.empty()) return 0;
+    WordRow masked;
+    std::uint64_t extra_edges = 0;
+    for (VertexId v = range.begin; v < range.end; ++v) {
+      if (!dout.has_events(v)) continue;
+      const Word* row = bf.frontier().row(v - range.begin);
+      if (!row_masked_any(row, expand, W, masked)) continue;
+      dout.for_each_extra(v, run.epoch, [&](VertexId t) {
+        if (discover(t, masked, pulling, touched)) ++extra_edges;
+      });
+    }
+    return extra_edges;
+  }
+
+  /// Route the discovery bits `masked` for target t. A local target ORs
+  /// them into the next plane (skipped, returning false, when
+  /// `skip_local`); a remote one relaxed-ORs them into its accumulator row
+  /// and, on the level's first touch of t, claims it for the send list.
+  bool discover(VertexId t, const WordRow& masked, bool skip_local,
+                std::vector<VertexId>& touched_out) {
+    if (range.contains(t)) {
+      if (!skip_local) bf.discover_atomic(t - range.begin, masked.data());
+      return !skip_local;
+    }
+    Word* acc = remote_acc.data() + static_cast<std::size_t>(t) * W;
+    for (std::size_t w = 0; w < W; ++w) {
+      if (masked[w] != 0) atomic_or_word(&acc[w], masked[w]);
+    }
+    if (touched_bm.atomic_test_and_set(t)) touched_out.push_back(t);
+    return true;
+  }
+
+  /// Ship the combined remote discoveries grouped by owner, as (vertex,
+  /// bit-row) records in ascending vertex order, then clear the slots.
+  void send() {
+    std::sort(touched.begin(), touched.end());
+    for (std::size_t i = 0; i < touched.size();) {
+      const PartitionId owner = partition.owner(touched[i]);
+      const VertexRange orange = partition.range(owner);
+      const std::size_t start = i;
+      while (i < touched.size() && orange.contains(touched[i])) ++i;
+      PacketWriter pw;
+      pw.write<std::uint64_t>(i - start);
+      for (std::size_t j = start; j < i; ++j) {
+        pw.write<VertexId>(touched[j]);
+        const Word* acc =
+            remote_acc.data() + static_cast<std::size_t>(touched[j]) * W;
+        for (std::size_t w = 0; w < W; ++w) pw.write<Word>(acc[w]);
+      }
+      mc.send(owner, kTag, pw.take());
+    }
+    for (VertexId t : touched) {
+      std::fill_n(remote_acc.data() + static_cast<std::size_t>(t) * W, W,
+                  Word{0});
+      touched_bm.clear_bit(t);
+    }
+    touched.clear();
+  }
+
+  void apply(PacketReader& pr) {
+    WordRow bits;
+    const auto count = pr.read<std::uint64_t>();
+    for (std::uint64_t j = 0; j < count; ++j) {
+      const auto t = pr.read<VertexId>();
+      CGRAPH_DCHECK(range.contains(t));
+      for (std::size_t w = 0; w < W; ++w) bits[w] = pr.read<Word>();
+      bf.discover_atomic(t - range.begin, bits.data());
+    }
+  }
+
+  WordRow commit() {
+    const LevelCommit committed = commit_level(pool, bf, degrees, nullptr);
+    occ = committed.occ;
+    run.at(level).add_pool({committed.stats});
+    return committed.nonempty;
+  }
+
+  void finish() {
+    count_visited(pool, bf, [&](const std::vector<std::uint64_t>& counts) {
+      for (std::size_t q = 0; q < counts.size(); ++q) {
+        if (counts[q] != 0) run.visited[q] += counts[q];
+      }
+    });
+    if (visited_out != nullptr) {
+      // Machines own disjoint global row ranges, so the plane assembles
+      // without synchronization; a crashed machine only reaches this
+      // point on its final (successful) attempt.
+      for (std::size_t v = 0; v < static_cast<std::size_t>(nlocal); ++v) {
+        std::copy_n(bf.visited().row(v), W,
+                    visited_out->row(range.begin + v));
+      }
+    }
+  }
+};
+
 MsBfsBatchResult run_distributed_msbfs_core(
     Cluster& cluster, const std::vector<SubgraphShard>& shards,
     const RangePartition& partition, const SeededBatch& batch,
     const DirectionOptions& direction, QueryBitRows* visited_out,
     Epoch snapshot_epoch) {
-  const std::size_t Q = batch.size();
-  // Resolve the snapshot: kEpochHead pins the batch to the shards' epoch
-  // at entry, so writers appending events for later epochs never change
-  // what this batch sees (snapshot isolation, DESIGN.md §15).
-  const Epoch epoch = snapshot_epoch == kEpochHead
-                          ? current_epoch(std::span<const SubgraphShard>(
-                                shards.data(), shards.size()))
-                          : snapshot_epoch;
-  CGRAPH_CHECK(Q > 0);
-  CGRAPH_CHECK_MSG(Q <= QueryBitRows::kMaxBatchWords * kWordBits,
-                   "batch exceeds bit-parallel capacity");
-  CGRAPH_CHECK(shards.size() == cluster.num_machines());
-  const VertexId num_vertices = shards[0].num_global_vertices();
-  const std::size_t W = words_for_bits(Q);
-
+  MsBfsBatchResult result;
+  LevelRun run(cluster, shards, batch.size(), snapshot_epoch, result);
   if (direction.mode == TraversalDirection::kPull) {
     for (const SubgraphShard& shard : shards) {
       CGRAPH_CHECK_MSG(shard.has_in_edges(),
@@ -406,679 +741,13 @@ MsBfsBatchResult run_distributed_msbfs_core(
                        "(ShardOptions::build_in_edges)");
     }
   }
-
-  MsBfsBatchResult result;
-  result.visited.assign(Q, 0);
-  result.levels.assign(Q, 0);
-  result.completion_wall_seconds.assign(Q, 0.0);
-  result.completion_sim_seconds.assign(Q, 0.0);
   if (visited_out != nullptr) {
-    *visited_out = QueryBitRows(num_vertices, Q);
+    *visited_out = QueryBitRows(shards[0].num_global_vertices(), batch.size());
   }
-
-  // Shared reduction planes, one row per level so no reset/race dance is
-  // needed: machines OR their local next-frontier masks for level L into
-  // plane L before the level's closing barrier, everyone reads after.
-  std::vector<std::atomic<Word>> nonempty_planes(kMaxLevels * W);
-  for (auto& a : nonempty_planes) a.store(0, std::memory_order_relaxed);
-  std::vector<std::atomic<std::uint64_t>> visited_accum(Q);
-  for (auto& a : visited_accum) a.store(0, std::memory_order_relaxed);
-  std::atomic<std::uint64_t> edges_total{0};
-  std::atomic<std::uint64_t> frontier_bytes_total{0};
-
-  // Per-level telemetry planes (same indexing as nonempty_planes). Pool
-  // join waits are stored as integer nanoseconds so machines can fetch_add
-  // without requiring atomic<double> RMW support.
-  std::vector<std::atomic<std::uint64_t>> lvl_frontier(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_edges(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_bitops(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_ptasks(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_stealwait_ns(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_push(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_pull(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_scout(kMaxLevels);
-  for (std::size_t i = 0; i < kMaxLevels; ++i) {
-    lvl_frontier[i].store(0, std::memory_order_relaxed);
-    lvl_edges[i].store(0, std::memory_order_relaxed);
-    lvl_bitops[i].store(0, std::memory_order_relaxed);
-    lvl_ptasks[i].store(0, std::memory_order_relaxed);
-    lvl_stealwait_ns[i].store(0, std::memory_order_relaxed);
-    lvl_push[i].store(0, std::memory_order_relaxed);
-    lvl_pull[i].store(0, std::memory_order_relaxed);
-    lvl_scout[i].store(0, std::memory_order_relaxed);
-  }
-
-  cluster.reset_clocks();
-  cluster.reset_telemetry();
-  cluster.fabric().reset_counters();
-  cluster.fabric().reset_delivery_state();
-  cluster.reset_protocol_state();
-  WallTimer wall;
-
-  // Crash recovery: after a rollback to checkpointed level L, clear every
-  // shared accumulator the replayed levels will re-contribute to, so the
-  // recovered run's results and telemetry stay bit-exact (replayed work is
-  // counted exactly once).
-  RunHooks hooks;
-  hooks.on_restore = [&] {
-    const std::size_t from_level = static_cast<std::size_t>(
-        cluster.checkpoint_store().latest_common_step() / 2);
-    for (std::size_t l = from_level; l < kMaxLevels; ++l) {
-      for (std::size_t w = 0; w < W; ++w) {
-        nonempty_planes[l * W + w].store(0, std::memory_order_relaxed);
-      }
-      lvl_frontier[l].store(0, std::memory_order_relaxed);
-      lvl_edges[l].store(0, std::memory_order_relaxed);
-      lvl_bitops[l].store(0, std::memory_order_relaxed);
-      lvl_ptasks[l].store(0, std::memory_order_relaxed);
-      lvl_stealwait_ns[l].store(0, std::memory_order_relaxed);
-      lvl_push[l].store(0, std::memory_order_relaxed);
-      lvl_pull[l].store(0, std::memory_order_relaxed);
-      lvl_scout[l].store(0, std::memory_order_relaxed);
-    }
-    for (auto& a : visited_accum) a.store(0, std::memory_order_relaxed);
-    edges_total.store(0, std::memory_order_relaxed);
-    frontier_bytes_total.store(0, std::memory_order_relaxed);
-  };
-
-  cluster.run([&](MachineContext& mc) {
-    const SubgraphShard& shard = shards[mc.id()];
-    const VertexRange range = shard.local_range();
-    const VertexId nlocal = range.size();
-    // Intra-machine compute pool (nullptr = serial), sized by
-    // Cluster::set_compute_threads / $CGRAPH_THREADS.
-    ThreadPool* pool = mc.pool();
-
-    // Direction heuristic inputs for this partition: static out-degrees
-    // (scout counts) and the partition's own edge/vertex totals — the
-    // decision is per level per partition.
-    const std::span<const EdgeIndex> degrees(shard.out_degrees());
-    std::uint64_t my_total_out_edges = 0;
-    for (EdgeIndex d : degrees) my_total_out_edges += d;
-    const bool can_pull = shard.has_in_edges();
-
-    // Delta edge-sets overlaying the tiled base structures (DESIGN.md §15).
-    // When the shard carries no uncompacted events every gate below is a
-    // dead branch and the scan is byte-for-byte the frozen path.
-    const DeltaEdgeSet& dout = shard.delta_out();
-    const DeltaEdgeSet& din = shard.delta_in();
-    const bool mutating = shard.has_mutations();
-
-    // Discover bits are OR-ed (idempotent), so duplicated packets cannot
-    // corrupt state — the filter keeps delivery exactly-once so the
-    // dedup-suppression counters reconcile under fault plans.
-    DedupFilter dedup;
-
-    BatchFrontier bf(nlocal, Q);
-    frontier_bytes_total.fetch_add(bf.memory_bytes(),
-                                   std::memory_order_relaxed);
-
-    std::vector<bool> done(Q, false);
-    std::size_t done_count = 0;
-    std::uint64_t my_edges = 0;
-    Depth start_level = 0;
-    bool pulling = false;
-
-    if (auto ckpt = mc.restore_checkpoint()) {
-      // Re-entering after a crash: resume from the checkpointed level
-      // instead of re-seeding. The link/clock state was already rolled
-      // back by the cluster, so the replay is bit-exact.
-      PacketReader pr(*ckpt);
-      start_level = static_cast<Depth>(pr.read<std::uint32_t>());
-      done_count = static_cast<std::size_t>(pr.read<std::uint64_t>());
-      for (std::size_t q = 0; q < Q; ++q) {
-        done[q] = pr.read<std::uint8_t>() != 0;
-      }
-      my_edges = pr.read<std::uint64_t>();
-      dedup.deserialize(pr);
-      bf.deserialize(pr);
-      pulling = pr.read<std::uint8_t>() != 0;
-      if (mc.id() == 0) {
-        result.total_levels = static_cast<Depth>(pr.read<std::uint32_t>());
-        for (std::size_t q = 0; q < Q; ++q) {
-          result.levels[q] = static_cast<Depth>(pr.read<std::uint32_t>());
-          result.completion_wall_seconds[q] = pr.read<double>();
-          result.completion_sim_seconds[q] = pr.read<double>();
-        }
-      }
-      const auto ck_epoch = pr.read<std::uint64_t>();
-      const auto ck_fp = pr.read<std::uint64_t>();
-      CGRAPH_CHECK_MSG(ck_epoch == epoch &&
-                           ck_fp == shard.mutation_fingerprint(epoch),
-                       "checkpoint delta tail mismatch: a restored run "
-                       "must see the snapshot the blob was cut against");
-    } else {
-      for (std::size_t q = 0; q < Q; ++q) {
-        for (VertexId source : batch.seeds[q]) {
-          CGRAPH_CHECK(source < num_vertices);
-          if (range.contains(source)) {
-            bf.seed(source - range.begin, q);
-          }
-        }
-      }
-    }
-
-    // Occupancy entering the first (or restored) level, recomputed from
-    // the frontier plane; later levels carry it out of the commit pass.
-    // The recomputation reproduces the commit-carried values exactly, so
-    // direction decisions replay bit-exact through a restore.
-    FrontierOccupancy occ = bf.frontier_occupancy(degrees);
-
-    // Remote accumulator: dense bit rows over the whole global space plus
-    // a touched list, so per-destination rows are OR-combined before they
-    // hit the wire (bounded by boundary vertices, not edges).
-    std::vector<Word> remote_acc(static_cast<std::size_t>(num_vertices) * W,
-                                 0);
-    std::vector<VertexId> touched;
-    Bitmap touched_bm(num_vertices);
-
-    for (Depth level = start_level; done_count < Q; ++level) {
-      // Top of level = the consistent cut: staged mailboxes are empty and
-      // the next plane was just cleared, so (level, done, dedup, planes,
-      // direction hysteresis) is the machine's whole recoverable state.
-      mc.maybe_checkpoint([&](PacketWriter& pw) {
-        pw.write<std::uint32_t>(level);
-        pw.write<std::uint64_t>(done_count);
-        for (std::size_t q = 0; q < Q; ++q) {
-          pw.write<std::uint8_t>(done[q] ? 1 : 0);
-        }
-        pw.write<std::uint64_t>(my_edges);
-        dedup.serialize(pw);
-        bf.serialize(pw);
-        pw.write<std::uint8_t>(pulling ? 1 : 0);
-        if (mc.id() == 0) {
-          // Machine 0 owns the per-query completion metadata. A restore on
-          // this cluster keeps `result` alive by reference, but a surviving
-          // replica adopting this cut starts with zeroed result arrays, so
-          // pre-cut completions must travel inside the blob.
-          pw.write<std::uint32_t>(result.total_levels);
-          for (std::size_t q = 0; q < Q; ++q) {
-            pw.write<std::uint32_t>(result.levels[q]);
-            pw.write<double>(result.completion_wall_seconds[q]);
-            pw.write<double>(result.completion_sim_seconds[q]);
-          }
-        }
-        // Delta tail: pins the snapshot this blob was cut against. A
-        // rollback on this cluster (or a surviving replica adopting the
-        // cut) must replay against byte-identical mutation state, or the
-        // replayed scans would diverge from the pre-crash ones.
-        pw.write<std::uint64_t>(epoch);
-        pw.write<std::uint64_t>(shard.mutation_fingerprint(epoch));
-      });
-
-      const WordRow expand = expand_mask_for_level(batch.ks, level);
-
-      const TraversalDirection used = decide_direction(
-          direction, can_pull, pulling, occ, my_total_out_edges, nlocal);
-      pulling = used == TraversalDirection::kPull;
-      (pulling ? lvl_pull : lvl_push)[level].fetch_add(
-          1, std::memory_order_relaxed);
-      lvl_scout[level].fetch_add(occ.scout_edges,
-                                 std::memory_order_relaxed);
-
-      const bool tracing = obs::tracing_enabled();
-      const double scan_sim_t0 = tracing ? mc.clock().seconds() : 0.0;
-      WallTimer phase_wall;
-
-      if (tracing) {
-        obs::TraceEvent ev;
-        ev.phase = obs::TraceEventPhase::kDirectionChoice;
-        ev.kind = obs::TraceEventKind::kInstant;
-        ev.machine = static_cast<std::int32_t>(mc.id());
-        ev.level = static_cast<std::int32_t>(level);
-        ev.sim_seconds = scan_sim_t0;
-        ev.a = pulling ? 1.0 : 0.0;
-        ev.b = static_cast<double>(occ.scout_edges);
-        obs::trace(ev);
-      }
-
-      // --- Telemetry: local frontier occupancy entering this level.
-      std::atomic<std::uint64_t> frontier_acc{0};
-      const ParallelForStats occ_stats = parallel_ranges(
-          pool, nlocal, [&](std::size_t vb, std::size_t ve) {
-            WordRow masked;
-            std::uint64_t chunk_frontier = 0;
-            for (std::size_t v = vb; v < ve; ++v) {
-              if (row_masked_any(bf.frontier().row(v), expand, W, masked)) {
-                ++chunk_frontier;
-              }
-            }
-            frontier_acc.fetch_add(chunk_frontier,
-                                   std::memory_order_relaxed);
-          });
-      const std::uint64_t level_frontier =
-          frontier_acc.load(std::memory_order_relaxed);
-      lvl_frontier[level].fetch_add(level_frontier,
-                                    std::memory_order_relaxed);
-
-      const EdgeSetGrid& grid = shard.out_sets();
-      std::atomic<std::uint64_t> edges_acc{0};
-      std::atomic<std::uint64_t> rows_acc{0};
-      std::atomic<std::uint64_t> pull_examined_acc{0};
-      std::mutex touched_mu;
-      ParallelForStats scan_stats;
-      ParallelForStats pull_stats;
-
-      if (!pulling) {
-        // --- Top-down local edge-set scan. Pool threads claim ranges of
-        // flat block indices (each block is an LLC-sized EdgeSet tile, the
-        // natural unit of intra-machine work). Local discoveries OR into
-        // the next plane atomically with visited frozen; remote
-        // discoveries OR into the dense accumulator words atomically, with
-        // first-touch claimed via the touched bitmap and chunk-local touch
-        // lists merged (then sorted below) so shipped packets stay
-        // byte-identical to the serial scan.
-        scan_stats = parallel_ranges(
-            pool, grid.num_sets(), [&](std::size_t bb, std::size_t be) {
-              WordRow masked;
-              std::uint64_t chunk_edges = 0;
-              std::uint64_t chunk_rows = 0;
-              std::vector<VertexId> chunk_touched;
-              for (std::size_t b = bb; b < be; ++b) {
-                const EdgeSet& es = grid.set_at(b);
-                const VertexRange rr = grid.row_range(grid.row_of_set(b));
-                for (VertexId v = rr.begin; v < rr.end; ++v) {
-                  const Word* row = bf.frontier().row(v - range.begin);
-                  ++chunk_rows;
-                  if (!row_masked_any(row, expand, W, masked)) continue;
-                  const auto nbrs = es.neighbors(v);
-                  chunk_edges += nbrs.size();
-                  const bool vdel = mutating && dout.has_deletes(v);
-                  for (VertexId t : nbrs) {
-                    if (vdel && dout.edge_deleted(v, t, epoch)) continue;
-                    if (range.contains(t)) {
-                      bf.discover_atomic(t - range.begin, masked.data());
-                    } else {
-                      Word* acc = remote_acc.data() +
-                                  static_cast<std::size_t>(t) * W;
-                      for (std::size_t w = 0; w < W; ++w) {
-                        if (masked[w] != 0) atomic_or_word(&acc[w], masked[w]);
-                      }
-                      if (touched_bm.atomic_test_and_set(t)) {
-                        chunk_touched.push_back(t);
-                      }
-                    }
-                  }
-                }
-              }
-              edges_acc.fetch_add(chunk_edges, std::memory_order_relaxed);
-              rows_acc.fetch_add(chunk_rows, std::memory_order_relaxed);
-              if (!chunk_touched.empty()) {
-                std::lock_guard<std::mutex> lock(touched_mu);
-                touched.insert(touched.end(), chunk_touched.begin(),
-                               chunk_touched.end());
-              }
-            });
-      } else {
-        // --- Bottom-up local scan over the partition's CSC: each thread
-        // owns a disjoint range of unvisited rows and ANDs local parents'
-        // frontier words into them (plain writes — one writer per row).
-        // Parents outside the local range are skipped; their contributions
-        // arrive through the cross-partition push below, exactly as in
-        // push mode.
-        pull_stats = parallel_ranges(
-            pool, nlocal, [&](std::size_t vb, std::size_t ve) {
-              std::uint64_t chunk_examined = 0;
-              std::vector<VertexId> merged;
-              for (std::size_t v = vb; v < ve; ++v) {
-                const VertexId vg =
-                    range.begin + static_cast<VertexId>(v);
-                if (mutating && din.has_events(vg)) {
-                  // Rows with in-side delta events pull from a merged
-                  // parent list — base parents minus tombstones plus
-                  // inserted parents, in the same globally sorted order
-                  // a compacted rebuild would produce — so the examined
-                  // count (and every downstream bit) matches the frozen
-                  // equivalent graph exactly.
-                  merged.clear();
-                  shard.for_each_in_parent_at(
-                      vg, epoch, [&](VertexId p) { merged.push_back(p); });
-                  chunk_examined += bf.pull_row(
-                      v, expand.data(),
-                      std::span<const VertexId>(merged.data(),
-                                                merged.size()),
-                      range.begin, range.end);
-                } else {
-                  chunk_examined += bf.pull_row(
-                      v, expand.data(), shard.in_csr().neighbors(v),
-                      range.begin, range.end);
-                }
-              }
-              pull_examined_acc.fetch_add(chunk_examined,
-                                          std::memory_order_relaxed);
-            });
-        // --- Cross-partition push: boundary rows still push their masked
-        // frontier bits into the remote accumulator, so the shipped
-        // packets (and therefore every fault-plan decision, barrier count,
-        // and checkpoint cut downstream) are byte-identical to push mode.
-        // Blocks whose destination range is entirely local carry no
-        // boundary edges and are skipped — that skip is the pull-side
-        // saving on the local partition.
-        scan_stats = parallel_ranges(
-            pool, grid.num_sets(), [&](std::size_t bb, std::size_t be) {
-              WordRow masked;
-              std::uint64_t chunk_edges = 0;
-              std::uint64_t chunk_rows = 0;
-              std::vector<VertexId> chunk_touched;
-              for (std::size_t b = bb; b < be; ++b) {
-                const EdgeSet& es = grid.set_at(b);
-                if (es.dst_range().begin >= range.begin &&
-                    es.dst_range().end <= range.end) {
-                  continue;  // fully local destinations: pull covered them
-                }
-                const VertexRange rr = grid.row_range(grid.row_of_set(b));
-                for (VertexId v = rr.begin; v < rr.end; ++v) {
-                  const Word* row = bf.frontier().row(v - range.begin);
-                  ++chunk_rows;
-                  if (!row_masked_any(row, expand, W, masked)) continue;
-                  const auto nbrs = es.neighbors(v);
-                  chunk_edges += nbrs.size();
-                  const bool vdel = mutating && dout.has_deletes(v);
-                  for (VertexId t : nbrs) {
-                    if (range.contains(t)) continue;  // pull covered it
-                    if (vdel && dout.edge_deleted(v, t, epoch)) continue;
-                    Word* acc = remote_acc.data() +
-                                static_cast<std::size_t>(t) * W;
-                    for (std::size_t w = 0; w < W; ++w) {
-                      if (masked[w] != 0) atomic_or_word(&acc[w], masked[w]);
-                    }
-                    if (touched_bm.atomic_test_and_set(t)) {
-                      chunk_touched.push_back(t);
-                    }
-                  }
-                }
-              }
-              edges_acc.fetch_add(chunk_edges, std::memory_order_relaxed);
-              rows_acc.fetch_add(chunk_rows, std::memory_order_relaxed);
-              if (!chunk_touched.empty()) {
-                std::lock_guard<std::mutex> lock(touched_mu);
-                touched.insert(touched.end(), chunk_touched.begin(),
-                               chunk_touched.end());
-              }
-            });
-      }
-      // --- Delta extras: edges inserted after ingestion live in the
-      // per-partition event sets, not the tiled base structures; feed
-      // them through the *identical* local / remote discovery paths
-      // (OR-discovery is idempotent and commutative, and the remote
-      // accumulator is indexed by global id, so a brand-new boundary
-      // destination needs no boundary-list changes). The pass is serial
-      // — per-vertex event lists are tiny — which also pins a
-      // deterministic extras count across thread counts. In pull mode
-      // local extras were already covered by the merged-parent pull
-      // rows above, so only boundary targets push here.
-      if (mutating && !dout.empty()) {
-        WordRow masked;
-        std::uint64_t extra_edges = 0;
-        for (VertexId v = range.begin; v < range.end; ++v) {
-          if (!dout.has_events(v)) continue;
-          const Word* row = bf.frontier().row(v - range.begin);
-          if (!row_masked_any(row, expand, W, masked)) continue;
-          dout.for_each_extra(v, epoch, [&](VertexId t) {
-            if (range.contains(t)) {
-              if (pulling) return;
-              bf.discover_atomic(t - range.begin, masked.data());
-              ++extra_edges;
-            } else {
-              Word* acc =
-                  remote_acc.data() + static_cast<std::size_t>(t) * W;
-              for (std::size_t w = 0; w < W; ++w) {
-                if (masked[w] != 0) atomic_or_word(&acc[w], masked[w]);
-              }
-              if (touched_bm.atomic_test_and_set(t)) {
-                touched.push_back(t);
-              }
-              ++extra_edges;
-            }
-          });
-        }
-        edges_acc.fetch_add(extra_edges, std::memory_order_relaxed);
-      }
-
-      const std::uint64_t pull_examined =
-          pull_examined_acc.load(std::memory_order_relaxed);
-      const std::uint64_t level_edges =
-          edges_acc.load(std::memory_order_relaxed) + pull_examined;
-      const std::uint64_t level_rows =
-          rows_acc.load(std::memory_order_relaxed);
-      my_edges += level_edges;
-      lvl_edges[level].fetch_add(level_edges, std::memory_order_relaxed);
-      // Bitmap words touched this level. Push: occupancy pre-scan +
-      // per-row frontier masks + three word-ops per discovered neighbor
-      // row, plus the occupancy publish scan below. Pull: the same
-      // pre/publish scans, the per-row want computation, two word-ops per
-      // parent examined, and the boundary rows' masks + remote ORs.
-      lvl_bitops[level].fetch_add(
-          pulling ? (static_cast<std::uint64_t>(nlocal) * 3 + level_rows +
-                     pull_examined * 2 +
-                     (level_edges - pull_examined) * 3) *
-                        W
-                  : (static_cast<std::uint64_t>(nlocal) * 2 + level_rows +
-                     level_edges * 3) *
-                        W,
-          std::memory_order_relaxed);
-      mc.charge_compute(level_edges, /*vertices=*/0);
-
-      if (tracing) {
-        // Scan span: occupancy pre-scan + edge scan + compute charge.
-        // Sim duration is exactly this level's charged compute time.
-        obs::TraceEvent ev;
-        ev.phase = obs::TraceEventPhase::kSuperstepScan;
-        ev.kind = obs::TraceEventKind::kSpan;
-        ev.machine = static_cast<std::int32_t>(mc.id());
-        ev.level = static_cast<std::int32_t>(level);
-        ev.sim_seconds = scan_sim_t0;
-        ev.sim_dur_seconds = mc.clock().seconds() - scan_sim_t0;
-        ev.wall_dur_ns = static_cast<std::uint64_t>(phase_wall.nanos());
-        ev.a = static_cast<double>(level_edges);
-        ev.b = static_cast<double>(level_frontier);
-        obs::trace(ev);
-      }
-
-      // --- Ship combined remote discoveries, grouped by owner.
-      std::sort(touched.begin(), touched.end());
-      std::size_t i = 0;
-      while (i < touched.size()) {
-        const PartitionId owner = partition.owner(touched[i]);
-        const VertexRange orange = partition.range(owner);
-        PacketWriter pw;
-        std::uint64_t count = 0;
-        const std::size_t start = i;
-        while (i < touched.size() && orange.contains(touched[i])) ++i;
-        count = i - start;
-        pw.write<std::uint64_t>(count);
-        for (std::size_t j = start; j < i; ++j) {
-          const VertexId t = touched[j];
-          pw.write<VertexId>(t);
-          const Word* acc =
-              remote_acc.data() + static_cast<std::size_t>(t) * W;
-          for (std::size_t w = 0; w < W; ++w) pw.write<Word>(acc[w]);
-        }
-        mc.send(owner, kRemoteDiscoverTag, pw.take());
-      }
-      // Clear accumulator slots we used.
-      for (VertexId t : touched) {
-        Word* acc = remote_acc.data() + static_cast<std::size_t>(t) * W;
-        for (std::size_t w = 0; w < W; ++w) acc[w] = 0;
-        touched_bm.clear_bit(t);
-      }
-      touched.clear();
-
-      mc.barrier();  // ---- exchange boundary discoveries ----
-
-      const double commit_sim_t0 = tracing ? mc.clock().seconds() : 0.0;
-      phase_wall.reset();
-      std::uint64_t staged_envelopes = 0;
-
-      WordRow incoming_bits;
-      for (Envelope& env : mc.recv_staged()) {
-        CGRAPH_CHECK(env.tag == kRemoteDiscoverTag);
-        ++staged_envelopes;
-        if (!dedup.accept(env.from, env.seq)) {
-          mc.cluster().fabric().record_dedup_suppressed(mc.id());
-          continue;
-        }
-        PacketReader pr(env.payload);
-        const auto count = pr.read<std::uint64_t>();
-        for (std::uint64_t j = 0; j < count; ++j) {
-          const auto t = pr.read<VertexId>();
-          CGRAPH_DCHECK(range.contains(t));
-          for (std::size_t w = 0; w < W; ++w)
-            incoming_bits[w] = pr.read<Word>();
-          bf.discover_atomic(t - range.begin, incoming_bits.data());
-        }
-      }
-
-      // --- Commit the level (visited |= next, once), publish local
-      // next-frontier occupancy for this level, and carry the next
-      // level's density/scout inputs out of the same pass.
-      WordRow nonempty{};
-      FrontierOccupancy occ_next;
-      std::mutex nonempty_mu;
-      const ParallelForStats commit_stats = parallel_ranges(
-          pool, nlocal, [&](std::size_t vb, std::size_t ve) {
-            WordRow chunk_nonempty{};
-            const FrontierOccupancy chunk_occ = bf.commit_rows(
-                vb, ve, chunk_nonempty.data(), degrees, nullptr);
-            std::lock_guard<std::mutex> lock(nonempty_mu);
-            for (std::size_t w = 0; w < W; ++w) {
-              nonempty[w] |= chunk_nonempty[w];
-            }
-            occ_next += chunk_occ;
-          });
-      occ = occ_next;
-      for (std::size_t w = 0; w < W; ++w) {
-        if (nonempty[w] != 0) {
-          nonempty_planes[static_cast<std::size_t>(level) * W + w]
-              .fetch_or(nonempty[w], std::memory_order_acq_rel);
-        }
-      }
-      lvl_ptasks[level].fetch_add(
-          occ_stats.tasks + scan_stats.tasks + pull_stats.tasks +
-              commit_stats.tasks,
-          std::memory_order_relaxed);
-      lvl_stealwait_ns[level].fetch_add(
-          static_cast<std::uint64_t>(
-              (occ_stats.join_wait_seconds + scan_stats.join_wait_seconds +
-               pull_stats.join_wait_seconds +
-               commit_stats.join_wait_seconds) *
-              1e9),
-          std::memory_order_relaxed);
-      bf.advance(nonempty.data());  // O(words): reuse the commit-phase mask
-
-      if (tracing) {
-        // Commit span: staged recv + dedup + visited fold + occupancy
-        // publish. No sim cost is charged here, so the sim duration is
-        // usually 0 — the wall duration carries the host-side cost.
-        obs::TraceEvent ev;
-        ev.phase = obs::TraceEventPhase::kSuperstepCommit;
-        ev.kind = obs::TraceEventKind::kSpan;
-        ev.machine = static_cast<std::int32_t>(mc.id());
-        ev.level = static_cast<std::int32_t>(level);
-        ev.sim_seconds = commit_sim_t0;
-        ev.sim_dur_seconds = mc.clock().seconds() - commit_sim_t0;
-        ev.wall_dur_ns = static_cast<std::uint64_t>(phase_wall.nanos());
-        ev.a = static_cast<double>(staged_envelopes);
-        obs::trace(ev);
-      }
-      mc.barrier();  // ---- level close: occupancy now globally visible ----
-
-      // --- Globally consistent completion decisions.
-      WordRow global_nonempty;
-      for (std::size_t w = 0; w < W; ++w) {
-        global_nonempty[w] =
-            nonempty_planes[static_cast<std::size_t>(level) * W + w].load(
-                std::memory_order_acquire);
-      }
-      for (std::size_t q = 0; q < Q; ++q) {
-        if (done[q]) continue;
-        const bool empty_next =
-            ((global_nonempty[q / kWordBits] >> (q % kWordBits)) & 1u) == 0;
-        const bool k_exhausted =
-            static_cast<Depth>(level + 1) >= batch.ks[q];
-        if (empty_next || k_exhausted) {
-          done[q] = true;
-          ++done_count;
-          if (mc.id() == 0) {
-            result.levels[q] = static_cast<Depth>(level + 1);
-            result.completion_wall_seconds[q] = wall.seconds();
-            result.completion_sim_seconds[q] = mc.clock().seconds();
-          }
-        }
-      }
-      if (mc.id() == 0) {
-        result.total_levels = static_cast<Depth>(level + 1);
-      }
-      CGRAPH_CHECK_MSG(static_cast<std::size_t>(level) + 1 < kMaxLevels,
-                       "traversal exceeded level cap");
-    }
-
-    // --- Per-query visited counts (seeds excluded at the end).
-    parallel_ranges(pool, nlocal, [&](std::size_t vb, std::size_t ve) {
-      std::vector<std::uint64_t> counts(Q, 0);
-      for (std::size_t v = vb; v < ve; ++v) {
-        const Word* row = bf.visited().row(v);
-        for (std::size_t w = 0; w < W; ++w) {
-          for_each_set_bit(row[w], w * kWordBits,
-                           [&](std::size_t q) { ++counts[q]; });
-        }
-      }
-      for (std::size_t q = 0; q < Q; ++q) {
-        if (counts[q] != 0) {
-          visited_accum[q].fetch_add(counts[q], std::memory_order_relaxed);
-        }
-      }
-    });
-    if (visited_out != nullptr) {
-      // Machines own disjoint global row ranges, so the plane assembles
-      // without synchronization; a crashed machine only reaches this point
-      // on its final (successful) attempt.
-      for (std::size_t v = 0; v < static_cast<std::size_t>(nlocal); ++v) {
-        const Word* src = bf.visited().row(v);
-        Word* dst = visited_out->row(range.begin + v);
-        for (std::size_t w = 0; w < W; ++w) dst[w] = src[w];
-      }
-    }
-    edges_total.fetch_add(my_edges, std::memory_order_relaxed);
-  }, hooks);
-
-  for (std::size_t q = 0; q < Q; ++q) {
-    const std::uint64_t v = visited_accum[q].load(std::memory_order_relaxed);
-    const std::uint64_t seeds = batch.seeds[q].size();
-    result.visited[q] = v > seeds ? v - seeds : 0;
-  }
-  result.wall_seconds = wall.seconds();
-  result.sim_seconds = cluster.sim_seconds();
-  result.edges_scanned = edges_total.load(std::memory_order_relaxed);
-  result.frontier_bytes =
-      frontier_bytes_total.load(std::memory_order_relaxed);
-
-  // Assemble the per-level trace; each level closed with two barriers
-  // (exchange + level close), so its barrier wait is the sum of the
-  // matching pair of superstep telemetry records.
-  const auto& steps = cluster.telemetry().supersteps;
-  result.level_trace.reserve(result.total_levels);
-  for (std::size_t l = 0; l < result.total_levels; ++l) {
-    obs::LevelTrace lt;
-    lt.level = static_cast<std::uint32_t>(l);
-    lt.frontier_vertices = lvl_frontier[l].load(std::memory_order_relaxed);
-    lt.edges_scanned = lvl_edges[l].load(std::memory_order_relaxed);
-    lt.bit_ops = lvl_bitops[l].load(std::memory_order_relaxed);
-    lt.parallel_tasks = lvl_ptasks[l].load(std::memory_order_relaxed);
-    lt.steal_wait_seconds =
-        static_cast<double>(
-            lvl_stealwait_ns[l].load(std::memory_order_relaxed)) *
-        1e-9;
-    lt.push_machines = static_cast<std::uint32_t>(
-        lvl_push[l].load(std::memory_order_relaxed));
-    lt.pull_machines = static_cast<std::uint32_t>(
-        lvl_pull[l].load(std::memory_order_relaxed));
-    lt.scout_edges = lvl_scout[l].load(std::memory_order_relaxed);
-    for (std::size_t s = 2 * l; s < 2 * l + 2 && s < steps.size(); ++s) {
-      lt.barrier_wait_sim_seconds += steps[s].barrier_wait_sim_seconds;
-    }
-    result.level_trace.push_back(lt);
-  }
+  run.run([&](MachineContext& mc) {
+    return MsbfsMachine(run, mc, batch, partition, direction, visited_out);
+  });
+  run.finish([&](std::size_t q) { return batch.seeds[q].size(); });
   return result;
 }
 

@@ -1,19 +1,15 @@
 #include "query/paths.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 
-#include "net/serialize.hpp"
+#include "query/level_state.hpp"
 #include "util/assert.hpp"
-#include "util/bitops.hpp"
-#include "util/timer.hpp"
 
 namespace cgraph {
 namespace {
 
 constexpr std::uint32_t kVisitTag = 0x50564954;  // 'PVIT'
-constexpr std::size_t kMaxLevels = 256;
 
 /// VisitTask extended with the discovering parent.
 struct ParentTask {
@@ -23,170 +19,68 @@ struct ParentTask {
   Depth depth;
 };
 
+/// One (vertex, parent) discovery, in checkpointable form.
+struct Discovery {
+  VertexId vertex;
+  VertexId parent;
+};
+
+/// One machine of run_distributed_khop_paths: the shared queue engine over
+/// ParentTask records, keeping the parent of every vertex this machine
+/// discovered (its owner — so the per-machine lists are disjoint).
+struct PathsMachine : QueueMachine<PathsMachine, ParentTask> {
+  static constexpr std::uint32_t kTag = kVisitTag;
+
+  PathsMachine(LevelRun& r, MachineContext& c, std::span<const KHopQuery> b,
+               const RangePartition& p, KhopPathsResult& out,
+               std::mutex& out_mu)
+      : QueueMachine(r, c, b, p),
+        paths(out),
+        paths_mu(out_mu),
+        parents(b.size()) {}
+
+  KhopPathsResult& paths;
+  std::mutex& paths_mu;
+  std::vector<std::vector<Discovery>> parents;
+
+  static ParentTask make_task(VertexId target, VertexId parent,
+                              QueryId query, Depth depth) {
+    return {target, parent, query, depth};
+  }
+  void record(const ParentTask& task) {
+    parents[task.query].push_back({task.target, task.parent});
+  }
+
+  template <typename Ar>
+  void transfer(Ar& ar) {
+    QueueMachine::transfer(ar);
+    for (auto& list : parents) ar.vec(list);
+  }
+
+  void finish() {
+    QueueMachine::finish();
+    std::lock_guard<std::mutex> lock(paths_mu);
+    for (std::size_t q = 0; q < parents.size(); ++q) {
+      for (const Discovery& d : parents[q]) {
+        paths.parents[q].emplace_back(d.vertex, d.parent);
+      }
+    }
+  }
+};
+
 }  // namespace
 
 KhopPathsResult run_distributed_khop_paths(
     Cluster& cluster, const std::vector<SubgraphShard>& shards,
     const RangePartition& partition, std::span<const KHopQuery> batch) {
-  const std::size_t Q = batch.size();
-  CGRAPH_CHECK(Q > 0);
-  CGRAPH_CHECK(shards.size() == cluster.num_machines());
-
   KhopPathsResult result;
-  result.base.visited.assign(Q, 0);
-  result.base.levels.assign(Q, 0);
-  result.base.completion_wall_seconds.assign(Q, 0.0);
-  result.base.completion_sim_seconds.assign(Q, 0.0);
-  result.parents.resize(Q);
+  result.parents.resize(batch.size());
   std::mutex parents_mu;
-
-  const std::size_t W = words_for_bits(Q);
-  CGRAPH_CHECK_MSG(W <= QueryBitRows::kMaxBatchWords,
-                   "batch exceeds activity-plane capacity");
-  std::vector<std::atomic<Word>> nonempty_planes(kMaxLevels * W);
-  for (auto& a : nonempty_planes) a.store(0, std::memory_order_relaxed);
-  std::vector<std::atomic<std::uint64_t>> visited_accum(Q);
-  for (auto& a : visited_accum) a.store(0, std::memory_order_relaxed);
-  std::atomic<std::uint64_t> edges_total{0};
-
-  cluster.reset_clocks();
-  cluster.fabric().reset_counters();
-  WallTimer wall;
-
-  cluster.run([&](MachineContext& mc) {
-    const SubgraphShard& shard = shards[mc.id()];
-    const VertexRange range = shard.local_range();
-    const VertexId nlocal = range.size();
-
-    std::vector<Bitmap> visited(Q);
-    std::vector<std::vector<VertexId>> frontier(Q), next(Q);
-    std::vector<ParentList> local_parents(Q);
-    for (std::size_t q = 0; q < Q; ++q) {
-      visited[q].resize(nlocal);
-      if (range.contains(batch[q].source)) {
-        visited[q].set(batch[q].source - range.begin);
-        frontier[q].push_back(batch[q].source);
-      }
-    }
-
-    std::vector<std::vector<ParentTask>> outbox(mc.num_machines());
-    std::vector<bool> done(Q, false);
-    std::size_t done_count = 0;
-    std::uint64_t my_edges = 0;
-
-    for (Depth level = 0; done_count < Q; ++level) {
-      std::uint64_t level_edges = 0;
-      for (std::size_t q = 0; q < Q; ++q) {
-        if (batch[q].k <= level) continue;
-        for (VertexId s : frontier[q]) {
-          shard.out_sets().for_each_neighbor(s, [&](VertexId t) {
-            ++level_edges;
-            if (range.contains(t)) {
-              if (visited[q].atomic_test_and_set(t - range.begin)) {
-                next[q].push_back(t);
-                local_parents[q].emplace_back(t, s);
-              }
-            } else {
-              outbox[partition.owner(t)].push_back(
-                  {t, s, static_cast<QueryId>(q),
-                   static_cast<Depth>(level + 1)});
-            }
-          });
-        }
-      }
-      my_edges += level_edges;
-      mc.charge_compute(level_edges);
-
-      for (PartitionId to = 0; to < outbox.size(); ++to) {
-        if (outbox[to].empty()) continue;
-        PacketWriter pw;
-        pw.write_span(std::span<const ParentTask>(outbox[to]));
-        mc.send(to, kVisitTag, pw.take());
-        outbox[to].clear();
-      }
-      mc.barrier();
-
-      for (Envelope& env : mc.recv_staged()) {
-        CGRAPH_CHECK(env.tag == kVisitTag);
-        PacketReader pr(env.payload);
-        for (const ParentTask& task : pr.read_vector<ParentTask>()) {
-          CGRAPH_DCHECK(range.contains(task.target));
-          if (visited[task.query].atomic_test_and_set(task.target -
-                                                      range.begin)) {
-            next[task.query].push_back(task.target);
-            local_parents[task.query].emplace_back(task.target, task.parent);
-          }
-        }
-      }
-
-      {
-        Word local_nonempty[QueryBitRows::kMaxBatchWords] = {};
-        for (std::size_t q = 0; q < Q; ++q) {
-          if (!next[q].empty()) {
-            local_nonempty[q / kWordBits] |= Word{1} << (q % kWordBits);
-          }
-        }
-        for (std::size_t w = 0; w < W; ++w) {
-          if (local_nonempty[w] != 0) {
-            nonempty_planes[static_cast<std::size_t>(level) * W + w]
-                .fetch_or(local_nonempty[w], std::memory_order_acq_rel);
-          }
-        }
-      }
-      for (std::size_t q = 0; q < Q; ++q) {
-        frontier[q].swap(next[q]);
-        next[q].clear();
-      }
-      mc.barrier();
-
-      for (std::size_t q = 0; q < Q; ++q) {
-        if (done[q]) continue;
-        const Word plane =
-            nonempty_planes[static_cast<std::size_t>(level) * W +
-                            q / kWordBits]
-                .load(std::memory_order_acquire);
-        const bool empty_next = ((plane >> (q % kWordBits)) & 1u) == 0;
-        const bool k_exhausted = static_cast<Depth>(level + 1) >= batch[q].k;
-        if (empty_next || k_exhausted) {
-          done[q] = true;
-          ++done_count;
-          if (mc.id() == 0) {
-            result.base.levels[q] = static_cast<Depth>(level + 1);
-            result.base.completion_wall_seconds[q] = wall.seconds();
-            result.base.completion_sim_seconds[q] = mc.clock().seconds();
-          }
-        }
-      }
-      if (mc.id() == 0) {
-        result.base.total_levels = static_cast<Depth>(level + 1);
-      }
-      CGRAPH_CHECK_MSG(static_cast<std::size_t>(level) + 1 < kMaxLevels,
-                       "traversal exceeded level cap");
-    }
-
-    for (std::size_t q = 0; q < Q; ++q) {
-      visited_accum[q].fetch_add(visited[q].count(),
-                                 std::memory_order_relaxed);
-    }
-    edges_total.fetch_add(my_edges, std::memory_order_relaxed);
-
-    // Merge per-machine parent lists (each vertex is discovered on exactly
-    // one machine — its owner — so lists are disjoint).
-    std::lock_guard<std::mutex> lk(parents_mu);
-    for (std::size_t q = 0; q < Q; ++q) {
-      result.parents[q].insert(result.parents[q].end(),
-                               local_parents[q].begin(),
-                               local_parents[q].end());
-    }
+  LevelRun run(cluster, shards, batch.size(), kEpochHead, result.base);
+  run.run([&](MachineContext& mc) {
+    return PathsMachine(run, mc, batch, partition, result, parents_mu);
   });
-
-  for (std::size_t q = 0; q < Q; ++q) {
-    const std::uint64_t v = visited_accum[q].load(std::memory_order_relaxed);
-    result.base.visited[q] = v > 0 ? v - 1 : 0;
-  }
-  result.base.wall_seconds = wall.seconds();
-  result.base.sim_seconds = cluster.sim_seconds();
-  result.base.edges_scanned = edges_total.load(std::memory_order_relaxed);
+  run.finish([](std::size_t) { return 1; });
   return result;
 }
 

@@ -40,7 +40,9 @@ struct KhopPathsResult {
   }
 };
 
-/// Queue-based distributed k-hop that also records parents.
+/// Queue-based distributed k-hop that also records parents. Reads the
+/// shards' snapshot at entry (base edges plus uncompacted delta events),
+/// as run_distributed_khop does with its default kEpochHead.
 KhopPathsResult run_distributed_khop_paths(
     Cluster& cluster, const std::vector<SubgraphShard>& shards,
     const RangePartition& partition, std::span<const KHopQuery> batch);

@@ -5,8 +5,11 @@
 #include <unordered_set>
 
 #include "gen/rmat.hpp"
+#include "graph/mutation.hpp"
 #include "graph/shard.hpp"
 #include "query/bfs.hpp"
+#include "query/distributed_khop.hpp"
+#include "query/msbfs.hpp"
 #include "query/paths.hpp"
 
 namespace cgraph {
@@ -134,6 +137,40 @@ TEST(Paths, CrossPartitionParentRecorded) {
                                             std::span(&q, 1));
   const auto path = reconstruct_path(r.parents[0], 0, 5);
   EXPECT_EQ(path, (std::vector<VertexId>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(Paths, SeesStreamedMutations) {
+  // Uncompacted delta events are part of the snapshot every engine reads:
+  // an inserted 2->5 extends the chain, a deleted base 1->2 cuts it.
+  EdgeList el;
+  el.add(0, 1);
+  el.add(1, 2);
+  Deployment d(Graph::build(std::move(el), 6), 2);
+  const KHopQuery q{0, 0, 5};
+  const MutationOp insert{MutationKind::kInsertEdge, 2, 5};
+  apply_mutations(std::span(d.shards), std::span(&insert, 1), /*epoch=*/1);
+
+  auto r = run_distributed_khop_paths(d.cluster, d.shards, d.partition,
+                                      std::span(&q, 1));
+  EXPECT_EQ(r.base.visited[0], 3u);
+  EXPECT_EQ(r.base.visited,
+            run_distributed_msbfs(d.cluster, d.shards, d.partition,
+                                  std::span(&q, 1))
+                .visited);
+  EXPECT_EQ(r.base.visited,
+            run_distributed_khop(d.cluster, d.shards, d.partition,
+                                 std::span(&q, 1))
+                .visited);
+  EXPECT_EQ(reconstruct_path(r.parents[0], 0, 5),
+            (std::vector<VertexId>{0, 1, 2, 5}));
+
+  const MutationOp erase{MutationKind::kDeleteEdge, 1, 2};
+  apply_mutations(std::span(d.shards), std::span(&erase, 1), /*epoch=*/2);
+  r = run_distributed_khop_paths(d.cluster, d.shards, d.partition,
+                                 std::span(&q, 1));
+  EXPECT_EQ(r.base.visited[0], 1u);
+  EXPECT_TRUE(reconstruct_path(r.parents[0], 0, 2).empty());
+  EXPECT_TRUE(reconstruct_path(r.parents[0], 0, 5).empty());
 }
 
 }  // namespace

@@ -143,7 +143,7 @@ void staged_crash_sweep(const TestBed& bed, std::uint64_t steps,
 
 class RecoverySweep : public ::testing::TestWithParam<std::uint64_t> {};
 
-// Every staged engine (MS-BFS, queue-based sync k-hop, the
+// Every staged engine (MS-BFS, queue-based sync k-hop, path recording, the
 // partition-program BSP path) killed at each superstep of the run, at 1
 // and 4 compute threads, clean links and chaos links. A crash-free probe
 // run measures the superstep count and pins the deterministic-replay
@@ -172,6 +172,12 @@ TEST_P(RecoverySweep, StagedEnginesExactAfterCrashAtEverySuperstep) {
        [&](Cluster& c) {
          return run_khop_program(c, bed.shards, bed.part, bed.queries);
        }},
+      {"paths",
+       [&](Cluster& c) {
+         return run_distributed_khop_paths(c, bed.shards, bed.part,
+                                           bed.queries)
+             .base.visited;
+       }},
   };
 
   for (const auto& engine : engines) {
@@ -199,6 +205,65 @@ TEST_P(RecoverySweep, StagedEnginesExactAfterCrashAtEverySuperstep) {
               }
             },
             engine.name);
+      }
+    }
+  }
+}
+
+// Level telemetry survives crash replay: the restore hook clears every
+// per-level counter from the restored level on, so each replayed level is
+// counted exactly once. Every LevelTrace field that is a deterministic
+// function of the traversal (barrier waits and pool timings are not)
+// must equal the crash-free run's, for both staged engines.
+TEST_P(RecoverySweep, LevelTelemetryExactAfterCrashAtEverySuperstep) {
+  const std::uint64_t seed = GetParam();
+  const TestBed bed = make_bed(seed);
+  const DirectionOptions hybrid{TraversalDirection::kHybrid};
+
+  struct Engine {
+    const char* name;
+    std::function<MsBfsBatchResult(Cluster&)> run;
+  };
+  const std::vector<Engine> engines = {
+      {"msbfs",
+       [&](Cluster& c) {
+         return run_distributed_msbfs(c, bed.shards, bed.part, bed.queries,
+                                      hybrid);
+       }},
+      {"sync-khop",
+       [&](Cluster& c) {
+         return run_distributed_khop(c, bed.shards, bed.part, bed.queries);
+       }},
+  };
+
+  for (const auto& engine : engines) {
+    Cluster probe(bed.machines);
+    const MsBfsBatchResult want = engine.run(probe);
+    const auto steps =
+        static_cast<std::uint64_t>(probe.telemetry().supersteps.size());
+    for (std::uint64_t s = 1; s <= steps; ++s) {
+      const auto victim = static_cast<PartitionId>((s + seed) % bed.machines);
+      SCOPED_TRACE(std::string(engine.name) + " crash " +
+                   std::to_string(victim) + "@" + std::to_string(s));
+      auto cluster = make_crashing_cluster(bed, seed, /*link_faults=*/false,
+                                           /*threads=*/1, victim, s);
+      const MsBfsBatchResult got = engine.run(*cluster);
+      EXPECT_EQ(cluster->recovery_stats().crashes, 1u);
+      EXPECT_EQ(got.visited, want.visited);
+      EXPECT_EQ(got.levels, want.levels);
+      EXPECT_EQ(got.total_levels, want.total_levels);
+      EXPECT_EQ(got.edges_scanned, want.edges_scanned);
+      ASSERT_EQ(got.level_trace.size(), want.level_trace.size());
+      for (std::size_t l = 0; l < want.level_trace.size(); ++l) {
+        const obs::LevelTrace& g = got.level_trace[l];
+        const obs::LevelTrace& w = want.level_trace[l];
+        SCOPED_TRACE("level " + std::to_string(l));
+        EXPECT_EQ(g.frontier_vertices, w.frontier_vertices);
+        EXPECT_EQ(g.edges_scanned, w.edges_scanned);
+        EXPECT_EQ(g.bit_ops, w.bit_ops);
+        EXPECT_EQ(g.push_machines, w.push_machines);
+        EXPECT_EQ(g.pull_machines, w.pull_machines);
+        EXPECT_EQ(g.scout_edges, w.scout_edges);
       }
     }
   }
