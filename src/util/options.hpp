@@ -1,5 +1,7 @@
 // Tiny command-line option parser shared by examples and bench harnesses.
 // Supports `--key=value`, `--key value`, and boolean `--flag` forms.
+// get_int/get_double throw std::invalid_argument naming the flag when the
+// value is not one whole number ("ten", "3x", "", out of range).
 #pragma once
 
 #include <cstdint>
@@ -14,6 +16,8 @@ class Options {
   Options(int argc, char** argv);
 
   [[nodiscard]] bool has(const std::string& key) const;
+  /// Every flag given, in sorted order.
+  [[nodiscard]] std::vector<std::string> keys() const;
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& def = "") const;
   [[nodiscard]] std::int64_t get_int(const std::string& key,

@@ -244,6 +244,40 @@ TEST(Options, BareFlagConsumesNextBareToken) {
   EXPECT_TRUE(o.positional().empty());
 }
 
+TEST(Options, RejectsValuesThatAreNotOneNumber) {
+  const char* argv[] = {"prog",       "--queries", "ten",      "--k=3x",
+                        "--empty=",   "--rate",    "1.5e2",    "--neg=-4",
+                        "--big=99999999999999999999", "--nan=nan",
+                        "--bare",     "--pad= 7"};
+  Options o(12, const_cast<char**>(argv));
+  EXPECT_THROW((void)o.get_int("queries", 1), std::invalid_argument);
+  EXPECT_THROW((void)o.get_int("k", 1), std::invalid_argument);
+  EXPECT_THROW((void)o.get_int("empty", 1), std::invalid_argument);
+  EXPECT_THROW((void)o.get_int("big", 1), std::invalid_argument);
+  EXPECT_THROW((void)o.get_int("bare", 1), std::invalid_argument);
+  EXPECT_THROW((void)o.get_int("pad", 1), std::invalid_argument);
+  EXPECT_THROW((void)o.get_int("rate", 1), std::invalid_argument);
+  EXPECT_THROW((void)o.get_double("k", 1), std::invalid_argument);
+  EXPECT_THROW((void)o.get_double("empty", 1), std::invalid_argument);
+  EXPECT_THROW((void)o.get_double("nan", 1), std::invalid_argument);
+  EXPECT_EQ(o.get_double("rate", 0), 150.0);
+  EXPECT_EQ(o.get_int("neg", 0), -4);
+  EXPECT_EQ(o.get_double("neg", 0), -4.0);
+  EXPECT_EQ(o.get_int("missing", 9), 9);
+  try {
+    (void)o.get_int("queries", 1);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--queries"), std::string::npos);
+  }
+}
+
+TEST(Options, KeysListsEveryFlag) {
+  const char* argv[] = {"prog", "--b=1", "pos", "--a", "2", "--c"};
+  Options o(6, const_cast<char**>(argv));
+  EXPECT_EQ(o.keys(), (std::vector<std::string>{"a", "b", "c"}));
+}
+
 TEST(Logging, LevelGatesOutput) {
   const LogLevel original = log_level();
   set_log_level(LogLevel::kError);
