@@ -45,7 +45,8 @@ int run_open_loop(const Options& opts, const ShardedGraph& sg,
 
   std::printf("\nopen loop: %zu Poisson arrivals per rate, "
               "queue-cap %lld, deadline %.3fs, linger %.3fs\n",
-              count, opts.get_int("queue-cap", 1024),
+              count,
+              static_cast<long long>(opts.get_int("queue-cap", 1024)),
               opts.get_double("deadline", 0.0),
               opts.get_double("linger", 0.010));
   std::printf("  %10s %8s %8s %9s %9s %9s %9s\n", "rate(qps)", "shed",

@@ -12,7 +12,8 @@ set -eu
 BUILD_DIR="${1:-build-asan}"
 SRC_DIR="$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
 
-cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DCGRAPH_SANITIZE=address
+cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DCGRAPH_SANITIZE=address \
+  -DCGRAPH_WERROR=ON
 cmake --build "$BUILD_DIR" --target test_obs test_scheduler test_chaos \
   test_hybrid test_index test_replica test_mutation baseline_runner \
   cgraph_tool -j "$(nproc)"

@@ -13,7 +13,8 @@ set -eu
 BUILD_DIR="${1:-build-ubsan}"
 SRC_DIR="$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
 
-cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DCGRAPH_SANITIZE=undefined
+cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DCGRAPH_SANITIZE=undefined \
+  -DCGRAPH_WERROR=ON
 cmake --build "$BUILD_DIR" --target test_io test_net test_cluster \
   test_recovery test_chaos -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure \

@@ -11,17 +11,11 @@
 #pragma once
 
 #include "algo/constrained_reach.hpp"
-#include "algo/sssp.hpp"
-#include "algo/triangles.hpp"
-#include "algo/wcc.hpp"
 #include "baseline/geminilike.hpp"
 #include "baseline/kvstore.hpp"
 #include "baseline/titanlike.hpp"
-#include "engine/bsp_engine.hpp"
 #include "engine/gas.hpp"
 #include "engine/pagerank.hpp"
-#include "engine/partition_context.hpp"
-#include "engine/vertex_program.hpp"
 #include "gen/arrivals.hpp"
 #include "gen/datasets.hpp"
 #include "gen/mutation_trace.hpp"
@@ -58,7 +52,6 @@
 #include "query/bfs.hpp"
 #include "query/distributed_khop.hpp"
 #include "query/frontier.hpp"
-#include "query/khop_program.hpp"
 #include "query/msbfs.hpp"
 #include "query/paths.hpp"
 #include "query/query.hpp"

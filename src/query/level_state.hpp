@@ -14,10 +14,11 @@
 // An engine supplies a machine type (derived from LevelMachine) with its
 // packet tag kTag and its phases: seed(), transfer(ar), scan(), send(),
 // apply(packet), commit(), finish() and hops(q); the two queue engines
-// share these through QueueMachine. Everything else lives here, once: the level cap, the per-level counters and their crash-replay
-// reset, the run-start cluster resets, the completion decision, the scan
-// and commit trace spans, the checkpoint header/tail, and the final
-// LevelTrace assembly (two supersteps per level).
+// share these through QueueMachine. Everything else lives here, once: the
+// level cap, the per-level counters and their crash-replay reset, the
+// run-start cluster resets, the completion decision, the scan and commit
+// trace spans, the checkpoint header/tail, and the final LevelTrace
+// assembly (two supersteps per level).
 #pragma once
 
 #include <algorithm>

@@ -1,14 +1,11 @@
-// Tests for the algorithm library: SSSP, WCC, triangle counting —
-// distributed engines validated against serial references across machine
-// counts and graph shapes.
+// Tests for the algorithm library: hop- and budget-constrained
+// reachability, the distributed engine validated against the serial
+// reference across machine counts and graph shapes.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <limits>
 
 #include "algo/constrained_reach.hpp"
-#include "algo/sssp.hpp"
-#include "algo/triangles.hpp"
-#include "algo/wcc.hpp"
 #include "gen/random_graphs.hpp"
 #include "gen/rmat.hpp"
 #include "graph/shard.hpp"
@@ -24,190 +21,6 @@ Graph weighted_rmat(unsigned scale, double ef, std::uint64_t seed) {
   GraphBuildOptions opts;
   opts.with_weights = true;
   return Graph::build(std::move(el), VertexId{1} << scale, opts);
-}
-
-// ---------------- SSSP ----------------
-
-TEST(SsspSerial, HandCheckedDistances) {
-  EdgeList el;
-  el.add(0, 1, 1.0f);
-  el.add(0, 2, 4.0f);
-  el.add(1, 2, 2.0f);
-  el.add(2, 3, 1.0f);
-  GraphBuildOptions opts;
-  opts.with_weights = true;
-  const Graph g = Graph::build(std::move(el), 5, opts);
-  const auto d = sssp_serial(g, 0);
-  EXPECT_DOUBLE_EQ(d[0], 0.0);
-  EXPECT_DOUBLE_EQ(d[1], 1.0);
-  EXPECT_DOUBLE_EQ(d[2], 3.0);  // via 1, not the direct 4.0 edge
-  EXPECT_DOUBLE_EQ(d[3], 4.0);
-  EXPECT_EQ(d[4], kUnreachable);
-}
-
-class SsspSweep : public ::testing::TestWithParam<PartitionId> {};
-
-TEST_P(SsspSweep, DistributedMatchesDijkstra) {
-  const Graph g = weighted_rmat(9, 6, 33);
-  const auto part = RangePartition::balanced_by_edges(g, GetParam());
-  const auto shards = build_shards(g, part);
-  Cluster cluster(GetParam());
-  const SsspResult r = run_sssp(cluster, shards, part, /*source=*/3);
-  const auto ref = sssp_serial(g, 3);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (ref[v] == kUnreachable) {
-      EXPECT_EQ(r.distance[v], kUnreachable) << "vertex " << v;
-    } else {
-      EXPECT_NEAR(r.distance[v], ref[v], 1e-9) << "vertex " << v;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Machines, SsspSweep, ::testing::Values(1, 2, 3, 5));
-
-TEST(Sssp, UnweightedEqualsBfsDepth) {
-  RmatParams p;
-  p.scale = 8;
-  p.edge_factor = 5;
-  p.seed = 44;
-  const Graph g = Graph::build(generate_rmat(p), VertexId{1} << p.scale);
-  const auto part = RangePartition::balanced_by_edges(g, 2);
-  const auto shards = build_shards(g, part);
-  Cluster cluster(2);
-  const SsspResult r = run_sssp(cluster, shards, part, 0);
-  const auto ref = sssp_serial(g, 0);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (ref[v] != kUnreachable) {
-      EXPECT_DOUBLE_EQ(r.distance[v], ref[v]);
-    }
-  }
-}
-
-// ---------------- WCC ----------------
-
-TEST(WccSerial, DisjointCliques) {
-  EdgeList el;
-  el.add(0, 1);
-  el.add(1, 2);
-  el.add(3, 4);
-  // 5 isolated
-  const Graph g = Graph::build(std::move(el), 6);
-  const auto label = wcc_serial(g);
-  EXPECT_EQ(label[0], label[1]);
-  EXPECT_EQ(label[1], label[2]);
-  EXPECT_EQ(label[3], label[4]);
-  EXPECT_NE(label[0], label[3]);
-  EXPECT_EQ(label[5], 5u);
-}
-
-class WccSweep : public ::testing::TestWithParam<PartitionId> {};
-
-TEST_P(WccSweep, DistributedMatchesUnionFind) {
-  RmatParams p;
-  p.scale = 9;
-  p.edge_factor = 2;  // sparse -> several components
-  p.seed = 55;
-  const Graph g = Graph::build(generate_rmat(p), VertexId{1} << p.scale);
-  const auto part = RangePartition::balanced_by_edges(g, GetParam());
-  const auto shards = build_shards(g, part);
-  Cluster cluster(GetParam());
-  const WccResult r = run_wcc(cluster, shards, part);
-  const auto ref = wcc_serial(g);
-  ASSERT_EQ(r.label.size(), ref.size());
-  std::uint64_t ref_components = 0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(r.label[v], ref[v]) << "vertex " << v;
-    if (ref[v] == v) ++ref_components;
-  }
-  EXPECT_EQ(r.num_components, ref_components);
-}
-
-INSTANTIATE_TEST_SUITE_P(Machines, WccSweep, ::testing::Values(1, 2, 4, 6));
-
-TEST(Wcc, DirectedEdgesStillJoinComponents) {
-  // WCC ignores direction: 0 -> 1 <- 2 is one component.
-  EdgeList el;
-  el.add(0, 1);
-  el.add(2, 1);
-  const Graph g = Graph::build(std::move(el), 3);
-  const auto part = RangePartition::balanced_by_vertices(3, 3);
-  const auto shards = build_shards(g, part);
-  Cluster cluster(3);
-  const WccResult r = run_wcc(cluster, shards, part);
-  EXPECT_EQ(r.label[0], 0u);
-  EXPECT_EQ(r.label[1], 0u);
-  EXPECT_EQ(r.label[2], 0u);
-  EXPECT_EQ(r.num_components, 1u);
-}
-
-// ---------------- Triangles ----------------
-
-Graph symmetric_graph(EdgeList el, VertexId n) {
-  GraphBuildOptions opts;
-  opts.symmetrize = true;
-  return Graph::build(std::move(el), n, opts);
-}
-
-TEST(TrianglesSerial, HandCounted) {
-  // Triangle 0-1-2 plus a pendant edge 2-3, plus triangle 2-3-4.
-  EdgeList el;
-  el.add(0, 1);
-  el.add(1, 2);
-  el.add(0, 2);
-  el.add(2, 3);
-  el.add(3, 4);
-  el.add(2, 4);
-  const Graph g = symmetric_graph(std::move(el), 5);
-  EXPECT_EQ(triangle_count_serial(g), 2u);
-}
-
-TEST(TrianglesSerial, CompleteGraphK5) {
-  EdgeList el;
-  for (VertexId u = 0; u < 5; ++u) {
-    for (VertexId v = u + 1; v < 5; ++v) el.add(u, v);
-  }
-  const Graph g = symmetric_graph(std::move(el), 5);
-  EXPECT_EQ(triangle_count_serial(g), 10u);  // C(5,3)
-}
-
-TEST(TrianglesSerial, TriangleFreeBipartite) {
-  EdgeList el;
-  for (VertexId u = 0; u < 4; ++u) {
-    for (VertexId v = 4; v < 8; ++v) el.add(u, v);
-  }
-  const Graph g = symmetric_graph(std::move(el), 8);
-  EXPECT_EQ(triangle_count_serial(g), 0u);
-}
-
-class TriangleSweep : public ::testing::TestWithParam<PartitionId> {};
-
-TEST_P(TriangleSweep, DistributedMatchesSerial) {
-  EdgeList el = generate_rmat({.scale = 9, .edge_factor = 6, .seed = 66});
-  const Graph g = symmetric_graph(std::move(el), VertexId{1} << 9);
-  const auto part = RangePartition::balanced_by_edges(g, GetParam());
-  const auto shards = build_shards(g, part);
-  Cluster cluster(GetParam());
-  const TriangleResult r = run_triangle_count(cluster, shards, part);
-  EXPECT_EQ(r.triangles, triangle_count_serial(g));
-  EXPECT_GT(r.sim_seconds, 0.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Machines, TriangleSweep,
-                         ::testing::Values(1, 2, 3, 5, 8));
-
-TEST(Triangles, CrossPartitionTriangle) {
-  // Triangle spanning three partitions: every intersection is remote.
-  EdgeList el;
-  el.add(0, 1);
-  el.add(1, 2);
-  el.add(0, 2);
-  const Graph g = symmetric_graph(std::move(el), 3);
-  const auto part = RangePartition::balanced_by_vertices(3, 3);
-  const auto shards = build_shards(g, part);
-  Cluster cluster(3);
-  const TriangleResult r = run_triangle_count(cluster, shards, part);
-  EXPECT_EQ(r.triangles, 1u);
-  EXPECT_GT(r.bytes, 0u);  // candidate sets crossed the wire
 }
 
 // ---------------- Constrained reachability ----------------

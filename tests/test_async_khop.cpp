@@ -71,7 +71,7 @@ TEST(AsyncKhop, DepthRelaxationCornerCase) {
   EXPECT_EQ(r.visited[0], khop_reach_count(g, 0, 2));  // {1, 3, 2, 4} = 4
 }
 
-TEST(AsyncKhop, AgreesWithBspEngine) {
+TEST(AsyncKhop, AgreesWithStagedEngine) {
   const Graph g = make_graph(9, 7, 79);
   const auto part = RangePartition::balanced_by_edges(g, 3);
   const auto shards = build_shards(g, part);
@@ -82,8 +82,8 @@ TEST(AsyncKhop, AgreesWithBspEngine) {
                        static_cast<Depth>(1 + i % 5)});
   }
   const auto async_r = run_async_khop(cluster, shards, part, queries);
-  const auto bsp_r = run_distributed_msbfs(cluster, shards, part, queries);
-  EXPECT_EQ(async_r.visited, bsp_r.visited);
+  const auto staged_r = run_distributed_msbfs(cluster, shards, part, queries);
+  EXPECT_EQ(async_r.visited, staged_r.visited);
 }
 
 TEST(AsyncKhop, FullBfsReachability) {

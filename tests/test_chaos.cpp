@@ -12,7 +12,6 @@
 
 #include "cgraph/cgraph.hpp"
 #include "net/fault.hpp"
-#include "query/khop_program.hpp"
 #include "util/rng.hpp"
 
 namespace cgraph {
@@ -51,8 +50,8 @@ void expect_counters_reconcile(const Fabric& fabric, PartitionId machines) {
 
 class ChaosSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
-// All four engine families (MS-BFS, sync k-hop, async k-hop, the
-// partition-program BSP path) under one seeded fault plan, against the
+// All four staged and async engines (MS-BFS, sync k-hop, async k-hop, the
+// path-recording k-hop) under one seeded fault plan, against the
 // fault-free serial reference.
 TEST_P(ChaosSweep, EnginesMatchReferenceUnderFaults) {
   const std::uint64_t seed = GetParam();
@@ -93,8 +92,9 @@ TEST_P(ChaosSweep, EnginesMatchReferenceUnderFaults) {
   const auto async = run_async_khop(cluster, shards, part, queries);
   EXPECT_EQ(async.visited, expected) << "async khop under faults";
 
-  const auto program = run_khop_program(cluster, shards, part, queries);
-  EXPECT_EQ(program, expected) << "partition-program khop under faults";
+  const auto paths =
+      run_distributed_khop_paths(cluster, shards, part, queries);
+  EXPECT_EQ(paths.base.visited, expected) << "paths khop under faults";
 
   EXPECT_EQ(cluster.fabric().total_delivery_failed(), 0u)
       << "probabilistic mixes must stay inside the retry budget";

@@ -100,7 +100,7 @@ TEST(Integration, QueriesAndPageRankShareOneDeployment) {
   }
 }
 
-TEST(Integration, WeightedPipelineSsspAndKhop) {
+TEST(Integration, WeightedShardsAnswerUnweightedKhop) {
   EdgeList el = generate_rmat({.scale = 9, .edge_factor = 5, .seed = 14});
   assign_random_weights(el, 1.0f, 3.0f, 15);
   GraphBuildOptions gopts;
@@ -109,14 +109,6 @@ TEST(Integration, WeightedPipelineSsspAndKhop) {
   const auto part = RangePartition::balanced_by_edges(g, 2);
   const auto shards = build_shards(g, part);
   Cluster cluster(2);
-
-  const SsspResult sssp = run_sssp(cluster, shards, part, 0);
-  const auto ref = sssp_serial(g, 0);
-  for (VertexId v = 0; v < g.num_vertices(); v += 13) {
-    if (ref[v] != kUnreachable) {
-      EXPECT_NEAR(sssp.distance[v], ref[v], 1e-9);
-    }
-  }
 
   // Weighted shards still answer unweighted reachability correctly.
   const KHopQuery q{0, 0, 3};

@@ -10,7 +10,6 @@
 
 #include "cgraph/cgraph.hpp"
 #include "net/fault.hpp"
-#include "query/khop_program.hpp"
 #include "util/rng.hpp"
 
 namespace cgraph {

@@ -17,7 +17,6 @@
 
 #include "cgraph/cgraph.hpp"
 #include "net/fault.hpp"
-#include "query/khop_program.hpp"
 #include "util/rng.hpp"
 
 namespace cgraph {
@@ -143,12 +142,12 @@ void staged_crash_sweep(const TestBed& bed, std::uint64_t steps,
 
 class RecoverySweep : public ::testing::TestWithParam<std::uint64_t> {};
 
-// Every staged engine (MS-BFS, queue-based sync k-hop, path recording, the
-// partition-program BSP path) killed at each superstep of the run, at 1
-// and 4 compute threads, clean links and chaos links. A crash-free probe
-// run measures the superstep count and pins the deterministic-replay
-// claim: the crashing run's simulated makespan must equal the fault-free
-// one exactly (the replay re-executes the identical schedule).
+// Every staged engine (MS-BFS, queue-based sync k-hop, path recording)
+// killed at each superstep of the run, at 1 and 4 compute threads, clean
+// links and chaos links. A crash-free probe run measures the superstep
+// count and pins the deterministic-replay claim: the crashing run's
+// simulated makespan must equal the fault-free one exactly (the replay
+// re-executes the identical schedule).
 TEST_P(RecoverySweep, StagedEnginesExactAfterCrashAtEverySuperstep) {
   const std::uint64_t seed = GetParam();
   const TestBed bed = make_bed(seed);
@@ -167,10 +166,6 @@ TEST_P(RecoverySweep, StagedEnginesExactAfterCrashAtEverySuperstep) {
        [&](Cluster& c) {
          return run_distributed_khop(c, bed.shards, bed.part, bed.queries)
              .visited;
-       }},
-      {"khop-program",
-       [&](Cluster& c) {
-         return run_khop_program(c, bed.shards, bed.part, bed.queries);
        }},
       {"paths",
        [&](Cluster& c) {

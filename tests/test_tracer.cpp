@@ -129,7 +129,9 @@ TEST(EventTracer, BatchContextRebasesMachineEventsOnly) {
   EXPECT_EQ(events[2].batch, 7);
   EXPECT_EQ(events[2].machine, 2);
   for (const auto& ev : events) {
-    if (ev.machine < 0) EXPECT_EQ(ev.batch, -1);
+    if (ev.machine < 0) {
+      EXPECT_EQ(ev.batch, -1);
+    }
   }
 }
 
