@@ -10,6 +10,7 @@ using namespace cgraph::bench;
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
+  require_known_flags(opts, {"machines", "queries", "repeats", "scale-shift"});
   const int shift = static_cast<int>(opts.get_int("scale-shift", 2));
   const auto machines = static_cast<PartitionId>(opts.get_int("machines", 4));
   const auto num_queries =

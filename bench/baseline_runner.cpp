@@ -403,6 +403,9 @@ bool write_overhead_json(const std::string& path, const BaselineConfig& cfg,
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
+  require_known_flags(opts, {"dense-alpha", "dense-beta", "dense-levels",
+                             "dense-machines", "machines", "out-dir", "queries",
+                             "quick", "reps", "scale-shift", "smoke"});
   const BaselineConfig cfg = resolve_config(opts);
   const std::string out_dir = opts.get("out-dir", ".");
   std::error_code ec;

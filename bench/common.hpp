@@ -3,14 +3,19 @@
 // Every harness accepts:
 //   --scale-shift N   shrink the Table-1 analogue graphs by 2^N (default
 //                     per harness, chosen so it finishes in seconds)
-//   --queries N, --k N, --machines N   where meaningful
+//   --queries N, --machines N   where meaningful
+// and rejects any flag it does not read (see require_known_flags).
 //
 // Results are printed as the same rows/series the paper plots; simulated
 // cluster time is labeled "sim". EXPERIMENTS.md records paper-vs-measured.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 #include "cgraph/cgraph.hpp"
 
@@ -43,6 +48,28 @@ inline ShardedGraph make_dataset_sharded(const std::string& name,
 /// The cluster cost model used by every figure harness (documented in
 /// DESIGN.md §2): 2.6 GHz Xeon-class compute, 10 GbE-class fabric.
 inline CostModel paper_cost_model() { return CostModel{}; }
+
+/// Exit 2 with one stderr line, before any work, when the command line
+/// holds a flag not in `known` (the flags this harness reads) or a stray
+/// positional argument. Without this a misspelled flag is silently ignored
+/// and the whole figure runs with defaults.
+inline void require_known_flags(const Options& opts,
+                                std::initializer_list<std::string_view> known) {
+  const std::string& prog = opts.program();
+  const std::string name = prog.substr(prog.find_last_of('/') + 1);
+  for (const std::string& key : opts.keys()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      std::fprintf(stderr, "%s: unknown flag --%s\n", name.c_str(),
+                   key.c_str());
+      std::exit(2);
+    }
+  }
+  if (!opts.positional().empty()) {
+    std::fprintf(stderr, "%s: unexpected argument '%s'\n", name.c_str(),
+                 opts.positional().front().c_str());
+    std::exit(2);
+  }
+}
 
 inline void print_header(const char* figure, const std::string& detail) {
   std::printf("\n################################################------\n");

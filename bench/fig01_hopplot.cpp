@@ -32,6 +32,7 @@ void report(const char* name, const Graph& g, std::uint32_t samples) {
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
+  require_known_flags(opts, {"samples", "scale-shift"});
   const auto samples =
       static_cast<std::uint32_t>(opts.get_int("samples", 24));
   const int shift = static_cast<int>(opts.get_int("scale-shift", 3));

@@ -13,6 +13,7 @@ using namespace cgraph::bench;
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
+  require_known_flags(opts, {"machines", "queries", "scale-shift"});
   const int shift = static_cast<int>(opts.get_int("scale-shift", 2));
   const auto num_queries =
       static_cast<std::size_t>(opts.get_int("queries", 100));

@@ -13,6 +13,7 @@ using namespace cgraph::bench;
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
+  require_known_flags(opts, {"iterations", "scale-shift"});
   const int shift = static_cast<int>(opts.get_int("scale-shift", 2));
   const auto iters =
       static_cast<std::uint64_t>(opts.get_int("iterations", 10));

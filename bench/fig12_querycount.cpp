@@ -83,6 +83,9 @@ int run_open_loop(const Options& opts, const ShardedGraph& sg,
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
+  require_known_flags(opts, {"deadline", "linger", "machines", "open-loop",
+                             "queries", "queue-cap", "rates", "scale-shift",
+                             "trace-out"});
   const int shift = static_cast<int>(opts.get_int("scale-shift", 2));
   const auto machines = static_cast<PartitionId>(opts.get_int("machines", 9));
 

@@ -8,6 +8,7 @@ using namespace cgraph::bench;
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
+  require_known_flags(opts, {"scale-shift"});
   const int shift = static_cast<int>(opts.get_int("scale-shift", 2));
 
   print_header("Table 1: Datasets Description",

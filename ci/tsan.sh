@@ -24,7 +24,10 @@
 # the serial extras pass execute under the same four-thread pools that
 # race the relaxed-atomic discovery ORs, and the epoch handshake
 # (ReachIndex::observe_epoch's relaxed CAS) runs against concurrent
-# probes.
+# probes. Tests that pin one compute thread (test_parallel's serial
+# side, among others) run the MS-BFS single-writer path, whose plain ORs
+# must then never meet a second writer. Warnings fail the build, as in
+# the other sanitizer jobs.
 #
 # Usage: ci/tsan.sh [build-dir]   (default: build-tsan)
 set -eu
@@ -32,7 +35,8 @@ set -eu
 BUILD_DIR="${1:-build-tsan}"
 SRC_DIR="$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
 
-cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DCGRAPH_SANITIZE=thread
+cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DCGRAPH_SANITIZE=thread \
+  -DCGRAPH_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 CGRAPH_THREADS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -L 'unit|chaos|recovery|service|replica|bench|mutation'

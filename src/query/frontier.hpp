@@ -13,7 +13,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -91,31 +90,28 @@ class BatchFrontier {
     }
   }
 
-  /// Deferred-commit discover for parallel edge-set scans: the next plane
-  /// takes `bits & ~visited` via a relaxed atomic OR, while the visited
-  /// plane is treated as read-only for the whole level and folded in once
-  /// by commit_rows(). OR is commutative and idempotent, so the result is
-  /// identical for any thread count and interleaving — this is what keeps
-  /// threads=1 and threads=N bit-exact.
-  void discover_atomic(std::size_t v, const Word* query_bits) {
+  /// Deferred-commit discover for edge-set scans: the next plane takes
+  /// `bits & ~visited`, while the visited plane is treated as read-only
+  /// for the whole level and folded in once by commit_rows(). `shared`
+  /// says whether several threads scan the level at once: they OR with
+  /// relaxed atomics, a lone writer with plain stores (see or_word). OR is
+  /// commutative and idempotent, so the result is identical for any
+  /// thread count and interleaving — this is what keeps threads=1 and
+  /// threads=N bit-exact.
+  void discover_next(std::size_t v, const Word* query_bits, bool shared) {
     Word* nx = next_.row(v);
     const Word* vis = visited_.row(v);
     for (std::size_t w = 0; w < frontier_.words_per_row(); ++w) {
-      const Word fresh = query_bits[w] & ~vis[w];
-      if (fresh == 0) continue;
-      // Same storage-aliasing trick as Bitmap::atomic_test_and_set: the
-      // word array is only ever touched atomically during the scan phase.
-      auto* a = reinterpret_cast<std::atomic<Word>*>(&nx[w]);
-      a->fetch_or(fresh, std::memory_order_relaxed);
+      or_word(&nx[w], query_bits[w] & ~vis[w], shared);
     }
   }
 
   /// Close a level for rows [begin, end): fold the next plane into
   /// visited (the once-per-level visited update paired with
-  /// discover_atomic) and OR each next row into `nonempty_out`
+  /// discover_next) and OR each next row into `nonempty_out`
   /// (words_per_row() words, the per-query occupancy mask). Disjoint row
   /// ranges may be committed concurrently; call only after every
-  /// discover_atomic of the level has completed (a pool join provides the
+  /// discover_next of the level has completed (a pool join provides the
   /// needed ordering).
   void commit_rows(std::size_t begin, std::size_t end, Word* nonempty_out) {
     commit_rows(begin, end, nonempty_out, {}, nullptr);

@@ -77,15 +77,6 @@ bool row_masked_any(const Word* row, const WordRow& mask, std::size_t words,
   return any != 0;
 }
 
-// Relaxed OR into a plain shared word. Legal for the same reason as
-// Bitmap::atomic_test_and_set: during a parallel scan phase these words are
-// only ever touched through this atomic view, and OR commutes, so the final
-// value is independent of thread interleaving.
-inline void atomic_or_word(Word* word, Word bits) {
-  reinterpret_cast<std::atomic<Word>*>(word)->fetch_or(
-      bits, std::memory_order_relaxed);
-}
-
 /// The per-level direction decision (DESIGN.md §12). Every input is a
 /// deterministic function of the frontier planes and static degrees — the
 /// previous level's commit-pass occupancy, the partition's edge/vertex
@@ -207,6 +198,7 @@ MsBfsBatchResult msbfs_batch_core(const Graph& graph,
   std::unique_ptr<ThreadPool> owned_pool;
   if (nthreads > 1) owned_pool = std::make_unique<ThreadPool>(nthreads - 1);
   ThreadPool* pool = owned_pool.get();
+  const bool shared = pool != nullptr;  // several scan writers: atomic ORs
 
   MsBfsBatchResult result;
   result.visited.assign(Q, 0);
@@ -261,11 +253,12 @@ MsBfsBatchResult msbfs_batch_core(const Graph& graph,
     ParallelForStats scan_stats;
     if (!pulling) {
       // Top-down scan: threads claim disjoint vertex ranges of the
-      // frontier; fresh discoveries land in the next plane via relaxed
-      // atomic OR while the visited plane stays frozen (committed once
-      // below), so any thread interleaving produces exactly the serial
-      // scan's bits. A sparse frontier iterates the active-row queue
-      // instead of testing all n rows — same rows expand either way.
+      // frontier; fresh discoveries land in the next plane by OR (relaxed
+      // atomic when pooled, plain when serial) while the visited plane
+      // stays frozen (committed once below), so any thread interleaving
+      // produces exactly the serial scan's bits. A sparse frontier
+      // iterates the active-row queue instead of testing all n rows —
+      // same rows expand either way.
       auto scan_rows = [&](std::size_t count, auto row_of) {
         return parallel_ranges(
             pool, count, [&](std::size_t ib, std::size_t ie) {
@@ -279,7 +272,9 @@ MsBfsBatchResult msbfs_batch_core(const Graph& graph,
                 }
                 ++chunk_frontier;
                 const auto nbrs = graph.out_neighbors(v);
-                for (VertexId t : nbrs) bf.discover_atomic(t, masked.data());
+                for (VertexId t : nbrs) {
+                  bf.discover_next(t, masked.data(), shared);
+                }
                 chunk_edges += nbrs.size();
               }
               frontier_acc.fetch_add(chunk_frontier,
@@ -429,14 +424,16 @@ struct MsbfsMachine : LevelMachine {
   // the first (or restored) level, which reproduces the commit-carried
   // values exactly, so direction decisions replay bit-exact.
   std::optional<FrontierOccupancy> occ;
-  // Remote accumulator: dense bit rows over the whole global space plus
-  // a touched list, so per-destination rows are OR-combined before they
-  // hit the wire (bounded by boundary vertices, not edges).
+  // Remote accumulator: dense bit rows over the whole global space, so
+  // per-destination rows are OR-combined before they hit the wire (bounded
+  // by boundary vertices, not edges), plus a bitmap of the rows touched
+  // this level that send() walks in ascending order. A machine without a
+  // pool is the only writer of its scan and ORs with plain stores; pool
+  // threads OR with relaxed atomics.
+  const bool shared = pool != nullptr;
   std::vector<Word> remote_acc = std::vector<Word>(
       static_cast<std::size_t>(shard.num_global_vertices()) * W, 0);
-  std::vector<VertexId> touched;
   Bitmap touched_bm{shard.num_global_vertices()};
-  std::mutex touched_mu;
 
   [[nodiscard]] Depth hops(std::size_t q) const { return batch.ks[q]; }
 
@@ -549,7 +546,6 @@ struct MsbfsMachine : LevelMachine {
           WordRow masked;
           std::uint64_t chunk_edges = 0;
           std::uint64_t chunk_rows = 0;
-          std::vector<VertexId> chunk_touched;
           for (std::size_t b = bb; b < be; ++b) {
             const EdgeSet& es = grid.set_at(b);
             if (skip_local && es.dst_range().begin >= range.begin &&
@@ -566,19 +562,12 @@ struct MsbfsMachine : LevelMachine {
               const bool vdel = mutating && dout.has_deletes(v);
               for (VertexId t : nbrs) {
                 if (vdel && dout.edge_deleted(v, t, run.epoch)) continue;
-                discover(t, masked, skip_local, chunk_touched);
+                discover(t, masked, skip_local);
               }
             }
           }
           pushed += chunk_edges;
           rows += chunk_rows;
-          if (!chunk_touched.empty()) {
-            // Merged here, sorted before shipping, so packets stay
-            // byte-identical to the serial scan.
-            std::lock_guard<std::mutex> lock(touched_mu);
-            touched.insert(touched.end(), chunk_touched.begin(),
-                           chunk_touched.end());
-          }
         });
   }
 
@@ -640,7 +629,7 @@ struct MsbfsMachine : LevelMachine {
       const Word* row = bf.frontier().row(v - range.begin);
       if (!row_masked_any(row, expand, W, masked)) continue;
       dout.for_each_extra(v, run.epoch, [&](VertexId t) {
-        if (discover(t, masked, pulling, touched)) ++extra_edges;
+        if (discover(t, masked, pulling)) ++extra_edges;
       });
     }
     return extra_edges;
@@ -648,49 +637,52 @@ struct MsbfsMachine : LevelMachine {
 
   /// Route the discovery bits `masked` for target t. A local target ORs
   /// them into the next plane (skipped, returning false, when
-  /// `skip_local`); a remote one relaxed-ORs them into its accumulator row
-  /// and, on the level's first touch of t, claims it for the send list.
-  bool discover(VertexId t, const WordRow& masked, bool skip_local,
-                std::vector<VertexId>& touched_out) {
+  /// `skip_local`); a remote one ORs them into its accumulator row and
+  /// marks t in the touched bitmap.
+  bool discover(VertexId t, const WordRow& masked, bool skip_local) {
     if (range.contains(t)) {
-      if (!skip_local) bf.discover_atomic(t - range.begin, masked.data());
+      if (!skip_local) {
+        bf.discover_next(t - range.begin, masked.data(), shared);
+      }
       return !skip_local;
     }
     Word* acc = remote_acc.data() + static_cast<std::size_t>(t) * W;
-    for (std::size_t w = 0; w < W; ++w) {
-      if (masked[w] != 0) atomic_or_word(&acc[w], masked[w]);
+    for (std::size_t w = 0; w < W; ++w) or_word(&acc[w], masked[w], shared);
+    if (shared) {
+      touched_bm.atomic_test_and_set(t);
+    } else {
+      touched_bm.set(t);
     }
-    if (touched_bm.atomic_test_and_set(t)) touched_out.push_back(t);
     return true;
   }
 
   /// Ship the combined remote discoveries grouped by owner, as (vertex,
-  /// bit-row) records in ascending vertex order, then clear the slots.
+  /// bit-row) records in ascending vertex order: the touched bitmap is
+  /// walked word by word over each remote owner's range (ranges ascend
+  /// with owner id), clearing each shipped row and bit on the way.
   void send() {
-    std::sort(touched.begin(), touched.end());
-    for (std::size_t i = 0; i < touched.size();) {
-      const PartitionId owner = partition.owner(touched[i]);
+    const std::size_t record_bytes = sizeof(VertexId) + W * sizeof(Word);
+    for (PartitionId owner = 0; owner < partition.num_partitions(); ++owner) {
+      if (owner == mc.id()) continue;
       const VertexRange orange = partition.range(owner);
-      const std::size_t start = i;
-      while (i < touched.size() && orange.contains(touched[i])) ++i;
+      const std::size_t count =
+          touched_bm.count_range(orange.begin, orange.end);
+      if (count == 0) continue;
       PacketWriter pw;
-      pw.write<std::uint64_t>(i - start);
-      for (std::size_t j = start; j < i; ++j) {
-        pw.write<VertexId>(touched[j]);
-        const Word* acc =
-            remote_acc.data() + static_cast<std::size_t>(touched[j]) * W;
+      pw.reserve(sizeof(std::uint64_t) + count * record_bytes);
+      pw.write<std::uint64_t>(count);
+      touched_bm.drain_range(orange.begin, orange.end, [&](std::size_t t) {
+        Word* acc = remote_acc.data() + t * W;
+        pw.write<VertexId>(static_cast<VertexId>(t));
         for (std::size_t w = 0; w < W; ++w) pw.write<Word>(acc[w]);
-      }
+        std::fill_n(acc, W, Word{0});
+      });
       mc.send(owner, kTag, pw.take());
     }
-    for (VertexId t : touched) {
-      std::fill_n(remote_acc.data() + static_cast<std::size_t>(t) * W, W,
-                  Word{0});
-      touched_bm.clear_bit(t);
-    }
-    touched.clear();
   }
 
+  /// Runs on the machine thread after the scan's pool has joined, so the
+  /// received rows always OR with plain stores.
   void apply(PacketReader& pr) {
     WordRow bits;
     const auto count = pr.read<std::uint64_t>();
@@ -698,7 +690,7 @@ struct MsbfsMachine : LevelMachine {
       const auto t = pr.read<VertexId>();
       CGRAPH_DCHECK(range.contains(t));
       for (std::size_t w = 0; w < W; ++w) bits[w] = pr.read<Word>();
-      bf.discover_atomic(t - range.begin, bits.data());
+      bf.discover_next(t - range.begin, bits.data(), /*shared=*/false);
     }
   }
 

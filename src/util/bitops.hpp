@@ -45,6 +45,21 @@ inline void for_each_set_bit(Word word, std::size_t base, Fn&& fn) {
   return total;
 }
 
+/// OR `bits` into `*word`. A `shared` word may be ORed by several threads
+/// of one scan phase, so it takes a relaxed atomic OR through an atomic
+/// view of the plain storage (legal because during that phase the word is
+/// only ever touched through this view, and OR commutes, so the result is
+/// independent of thread interleaving). A word with a single writer takes
+/// a plain OR.
+inline void or_word(Word* word, Word bits, bool shared) {
+  if (!shared) {
+    *word |= bits;
+  } else if (bits != 0) {
+    reinterpret_cast<std::atomic<Word>*>(word)->fetch_or(
+        bits, std::memory_order_relaxed);
+  }
+}
+
 /// Fixed-size bitmap over a contiguous word array. Single-writer unless the
 /// atomic_* methods are used. This is the storage behind per-query frontier
 /// and visited state in the bit-parallel engine.
@@ -127,12 +142,51 @@ class Bitmap {
     }
   }
 
+  /// Number of set bits in [begin, end).
+  [[nodiscard]] std::size_t count_range(std::size_t begin,
+                                        std::size_t end) const {
+    std::size_t n = 0;
+    for_range_words(begin, end, [&](std::size_t wi, Word mask) {
+      n += static_cast<std::size_t>(std::popcount(words_[wi] & mask));
+    });
+    return n;
+  }
+
+  /// Visit the set bits in [begin, end) in ascending order, clearing them.
+  /// One pass over the range's words: the ordered alternative to keeping a
+  /// list of set bits and sorting it.
+  template <typename Fn>
+  void drain_range(std::size_t begin, std::size_t end, Fn&& fn) {
+    for_range_words(begin, end, [&](std::size_t wi, Word mask) {
+      const Word bits = words_[wi] & mask;
+      words_[wi] &= ~mask;
+      for_each_set_bit(bits, wi * kWordBits, fn);
+    });
+  }
+
   void swap(Bitmap& other) noexcept {
     words_.swap(other.words_);
     std::swap(nbits_, other.nbits_);
   }
 
  private:
+  /// fn(word index, in-range mask) for each word overlapping [begin, end).
+  template <typename Fn>
+  void for_range_words(std::size_t begin, std::size_t end, Fn&& fn) const {
+    CGRAPH_DCHECK(begin <= end && end <= nbits_);
+    if (begin == end) return;
+    const std::size_t first = begin / kWordBits;
+    const std::size_t last = (end - 1) / kWordBits;
+    for (std::size_t wi = first; wi <= last; ++wi) {
+      Word mask = ~Word{0};
+      if (wi == first) mask &= ~Word{0} << (begin % kWordBits);
+      if (wi == last) {
+        mask &= ~Word{0} >> (kWordBits - 1 - (end - 1) % kWordBits);
+      }
+      fn(wi, mask);
+    }
+  }
+
   std::size_t nbits_ = 0;
   std::vector<Word> words_;
 };

@@ -69,6 +69,41 @@ TEST(Bitmap, AtomicTestAndSetUnderContention) {
   EXPECT_EQ(bm.count(), 1024u);
 }
 
+TEST(Bitmap, RangeCountAndDrainAscendAndClear) {
+  Bitmap bm(300);
+  const std::vector<std::size_t> bits = {0, 5, 63, 64, 70, 127, 128, 200, 299};
+  for (std::size_t b : bits) bm.set(b);
+  EXPECT_EQ(bm.count_range(0, 300), bits.size());
+  EXPECT_EQ(bm.count_range(5, 5), 0u);
+  EXPECT_EQ(bm.count_range(5, 64), 2u);     // 5, 63: ends on a word edge
+  EXPECT_EQ(bm.count_range(6, 128), 4u);    // 63, 64, 70, 127
+  EXPECT_EQ(bm.count_range(299, 300), 1u);  // last bit, partial word
+
+  std::vector<std::size_t> drained;
+  bm.drain_range(63, 200, [&](std::size_t i) { drained.push_back(i); });
+  EXPECT_EQ(drained, (std::vector<std::size_t>{63, 64, 70, 127, 128}));
+  // Bits outside the range survive; the drained ones are gone.
+  EXPECT_EQ(bm.count(), 4u);
+  EXPECT_TRUE(bm.test(5));
+  EXPECT_TRUE(bm.test(200));
+  EXPECT_FALSE(bm.test(63));
+  drained.clear();
+  bm.drain_range(0, 300, [&](std::size_t i) { drained.push_back(i); });
+  EXPECT_EQ(drained, (std::vector<std::size_t>{0, 5, 200, 299}));
+  EXPECT_FALSE(bm.any());
+}
+
+TEST(OrWord, SharedAndPlainAgree) {
+  Word plain = 0b1000;
+  Word shared = 0b1000;
+  for (const Word bits : {Word{0}, Word{0b11}, ~Word{0} << 60, Word{0}}) {
+    or_word(&plain, bits, /*shared=*/false);
+    or_word(&shared, bits, /*shared=*/true);
+    EXPECT_EQ(plain, shared);
+  }
+  EXPECT_EQ(plain, (~Word{0} << 60) | 0b1011);
+}
+
 TEST(Bitmap, OrAndNot) {
   Bitmap a(100), b(100);
   a.set(1);

@@ -2,12 +2,14 @@
 # End-to-end test of the cgraph_tool command line: every subcommand runs
 # to exit 0 on a tiny graph, and every bad flag exits 2 with a one-line
 # reason that names the flag — never an abort (134), an OOM kill (137) or
-# a hang.
+# a hang. A figure harness rejects an unknown flag the same way.
 #
-# Usage: tests/test_cli.sh path/to/cgraph_tool
+# Usage: tests/test_cli.sh path/to/cgraph_tool path/to/fig12_querycount
 set -u
 
-TOOL="$(cd "$(dirname -- "$1")" && pwd)/$(basename -- "$1")"
+abspath() { echo "$(cd "$(dirname -- "$1")" && pwd)/$(basename -- "$1")"; }
+TOOL="$(abspath "$1")"
+HARNESS="$(abspath "$2")"
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 cd "$WORK" || exit 1
@@ -28,20 +30,22 @@ ok() {
   fi
 }
 
-# rejected FLAG ARGS...: the command exits 2 before doing any work, with
-# exactly one stderr line that mentions FLAG.
+# rejected FLAG ARGS...: the command ($BIN, cgraph_tool by default) exits
+# 2 before doing any work, with exactly one stderr line that mentions FLAG.
+BIN="$TOOL"
 rejected() {
   flag="$1"
   shift
-  timeout 60 "$TOOL" "$@" > out.txt 2> err.txt
+  name="$(basename -- "$BIN")"
+  timeout 60 "$BIN" "$@" > out.txt 2> err.txt
   rc=$?
   lines=$(wc -l < err.txt)
   if [ "$rc" -ne 2 ]; then
-    fail "cgraph_tool $* exited $rc, want 2"
+    fail "$name $* exited $rc, want 2"
   elif [ "$lines" -ne 1 ] || ! grep -q -e "$flag" err.txt; then
-    fail "cgraph_tool $*: want one stderr line naming $flag"
+    fail "$name $*: want one stderr line naming $flag"
   elif [ -s out.txt ]; then
-    fail "cgraph_tool $*: printed results before rejecting the flag"
+    fail "$name $*: printed results before rejecting the flag"
   fi
   cat err.txt
 }
@@ -94,8 +98,13 @@ rejected --in pagerank --iterations 3
 rejected --model gen --out x.bin --model lattice
 [ ! -e big.bin ] && [ ! -e x.bin ] || fail "a rejected gen wrote a file"
 
+# A figure harness given a flag it does not read exits 2 instead of
+# running the whole figure with defaults.
+BIN="$HARNESS"
+rejected --bogus --dataset nope --bogus 1
+
 if [ "$failures" -ne 0 ]; then
-  echo "$failures cgraph_tool check(s) failed"
+  echo "$failures command-line check(s) failed"
   exit 1
 fi
-echo "all cgraph_tool checks passed"
+echo "all command-line checks passed"

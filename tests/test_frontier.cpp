@@ -187,8 +187,8 @@ TEST(BatchFrontier, MaskAdvanceMatchesScanningAdvance) {
     masked.seed(0, 0);
     scanned.seed(0, 0);
     for (const Discovery& d : scenarios[s]) {
-      masked.discover_atomic(d.v, d.bits);
-      scanned.discover_atomic(d.v, d.bits);
+      masked.discover_next(d.v, d.bits, /*shared=*/true);
+      scanned.discover_next(d.v, d.bits, /*shared=*/false);
     }
     std::vector<Word> mask(masked.words_per_row(), 0);
     masked.commit_rows(0, n, mask.data());

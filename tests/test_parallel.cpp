@@ -56,34 +56,77 @@ TEST(ParallelMsBfsBatch, ReportsPoolTasksInLevelTrace) {
   }
 }
 
+// Serial machines OR discoveries with plain stores, pooled ones with
+// relaxed atomics. Both writer modes must give the same planes and put the
+// same staged packets and bytes on the wire. Hybrid on CSC shards adds the
+// pull levels, whose boundary edges still push through both modes.
 TEST(ParallelDistributedMsBfs, BitExactAcrossThreadCounts) {
   const Graph g = make_graph(21);
-  const auto part = RangePartition::balanced_by_edges(g, 3);
-  const auto shards = build_shards(g, part);
+  const PartitionId machines = 3;
+  const auto part = RangePartition::balanced_by_edges(g, machines);
+  const auto shards = build_shards(g, part);  // with in-edges (CSC)
   const auto queries = make_queries(g, 30, 22);
 
-  Cluster cluster(3);
-  cluster.set_compute_threads(1);
-  const auto serial = run_distributed_msbfs(cluster, shards, part, queries);
+  struct Run {
+    MsBfsBatchResult result;
+    QueryBitRows visited;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> staged;
+  };
+  for (const TraversalDirection mode :
+       {TraversalDirection::kPush, TraversalDirection::kHybrid}) {
+    SCOPED_TRACE(to_string(mode));
+    DirectionOptions direction;
+    direction.mode = mode;
+    auto run = [&](std::size_t threads) {
+      Cluster cluster(machines);
+      cluster.set_compute_threads(threads);
+      Run r;
+      r.result = run_distributed_msbfs(cluster, shards, part, queries,
+                                       direction, &r.visited);
+      for (PartitionId id = 0; id < machines; ++id) {
+        const TrafficCounters& c = cluster.fabric().sent_counters(id);
+        r.staged.emplace_back(c.staged_packets.load(),
+                              c.staged_bytes.load());
+      }
+      return r;
+    };
+    const Run serial = run(1);
+    const Run parallel = run(4);
 
-  cluster.set_compute_threads(4);
-  const auto parallel = run_distributed_msbfs(cluster, shards, part, queries);
+    EXPECT_EQ(parallel.result.visited, serial.result.visited);
+    EXPECT_EQ(parallel.result.levels, serial.result.levels);
+    EXPECT_EQ(parallel.result.total_levels, serial.result.total_levels);
+    EXPECT_EQ(parallel.result.edges_scanned, serial.result.edges_scanned);
+    ASSERT_EQ(parallel.visited.rows(), serial.visited.rows());
+    for (std::size_t v = 0; v < serial.visited.rows(); ++v) {
+      for (std::size_t w = 0; w < serial.visited.words_per_row(); ++w) {
+        ASSERT_EQ(parallel.visited.row(v)[w], serial.visited.row(v)[w])
+            << "row " << v << " word " << w;
+      }
+    }
+    EXPECT_EQ(parallel.staged, serial.staged);
+    std::uint64_t packets = 0;
+    for (const auto& [p, bytes] : serial.staged) packets += p;
+    EXPECT_GT(packets, 0u);
 
-  EXPECT_EQ(parallel.visited, serial.visited);
-  EXPECT_EQ(parallel.levels, serial.levels);
-  EXPECT_EQ(parallel.total_levels, serial.total_levels);
-  EXPECT_EQ(parallel.edges_scanned, serial.edges_scanned);
-  ASSERT_FALSE(parallel.level_trace.empty());
-  for (std::size_t l = 0; l < parallel.level_trace.size(); ++l) {
-    EXPECT_EQ(parallel.level_trace[l].frontier_vertices,
-              serial.level_trace[l].frontier_vertices);
-    EXPECT_EQ(parallel.level_trace[l].edges_scanned,
-              serial.level_trace[l].edges_scanned);
-    // Threaded levels record at least as many pool chunks as serial ones
-    // (serial = exactly one chunk per phase per machine).
-    EXPECT_GE(parallel.level_trace[l].parallel_tasks,
-              serial.level_trace[l].parallel_tasks);
-    EXPECT_GT(parallel.level_trace[l].parallel_tasks, 0u);
+    const auto& ptrace = parallel.result.level_trace;
+    const auto& strace = serial.result.level_trace;
+    ASSERT_FALSE(ptrace.empty());
+    ASSERT_EQ(ptrace.size(), strace.size());
+    std::uint32_t pull_levels = 0;
+    for (std::size_t l = 0; l < ptrace.size(); ++l) {
+      EXPECT_EQ(ptrace[l].frontier_vertices, strace[l].frontier_vertices);
+      EXPECT_EQ(ptrace[l].edges_scanned, strace[l].edges_scanned);
+      EXPECT_EQ(ptrace[l].pull_machines, strace[l].pull_machines);
+      pull_levels += strace[l].pull_machines;
+      // Threaded levels record at least as many pool chunks as serial
+      // ones (serial = exactly one chunk per phase per machine).
+      EXPECT_GE(ptrace[l].parallel_tasks, strace[l].parallel_tasks);
+      EXPECT_GT(ptrace[l].parallel_tasks, 0u);
+    }
+    if (mode == TraversalDirection::kHybrid) {
+      EXPECT_GT(pull_levels, 0u);
+    }
   }
 }
 
