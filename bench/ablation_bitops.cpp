@@ -6,11 +6,12 @@
 using namespace cgraph;
 using namespace cgraph::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
-  require_known_flags(opts, {"machines", "scale-shift"});
-  const int shift = static_cast<int>(opts.get_int("scale-shift", 2));
-  const auto machines = static_cast<PartitionId>(opts.get_int("machines", 3));
+  Flags f(opts);
+  const int shift = read_scale_shift(f, 2);
+  const PartitionId machines = read_machines(f, 3);
+  f.done();
 
   print_header("Ablation: bit operations vs task queues",
                "3-hop batches on the FR-1B analogue, " +
@@ -45,4 +46,6 @@ int main(int argc, char** argv) {
               "count; bit-parallel work grows sublinearly because shared "
               "subgraphs are scanned once per 64-query batch.\n");
   return 0;
+} catch (const FlagError& e) {
+  return flag_error(argv[0], e);
 }

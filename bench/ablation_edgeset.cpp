@@ -8,14 +8,14 @@
 using namespace cgraph;
 using namespace cgraph::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
-  require_known_flags(opts, {"machines", "queries", "repeats", "scale-shift"});
-  const int shift = static_cast<int>(opts.get_int("scale-shift", 2));
-  const auto machines = static_cast<PartitionId>(opts.get_int("machines", 4));
-  const auto num_queries =
-      static_cast<std::size_t>(opts.get_int("queries", 64));
-  const auto repeats = static_cast<std::size_t>(opts.get_int("repeats", 3));
+  Flags f(opts);
+  const int shift = read_scale_shift(f, 2);
+  const PartitionId machines = read_machines(f, 4);
+  const std::size_t num_queries = read_queries(f, 64);
+  const auto repeats = static_cast<std::size_t>(f.num("repeats", 3, 1, 1000));
+  f.done();
 
   print_header("Ablation: edge-set granularity & consolidation",
                "64-query 3-hop batch wall time per layout");
@@ -80,4 +80,6 @@ int main(int argc, char** argv) {
               "edges/set rises) without losing edges; moderate targets "
               "beat both extremes.\n");
   return 0;
+} catch (const FlagError& e) {
+  return flag_error(argv[0], e);
 }

@@ -14,11 +14,12 @@
 using namespace cgraph;
 using namespace cgraph::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
-  require_known_flags(opts, {"queries", "scale-shift"});
-  const int shift = static_cast<int>(opts.get_int("scale-shift", 2));
-  const auto count = static_cast<std::size_t>(opts.get_int("queries", 64));
+  Flags f(opts);
+  const int shift = read_scale_shift(f, 2);
+  const std::size_t count = read_queries(f, 64);
+  f.done();
 
   print_header("Ablation: level-pair value store vs dense per-vertex values",
                std::to_string(count) +
@@ -82,4 +83,6 @@ int main(int argc, char** argv) {
               "(small k or huge graphs — the paper's regime); the benefit "
               "shrinks as a query floods the whole graph.\n");
   return 0;
+} catch (const FlagError& e) {
+  return flag_error(argv[0], e);
 }

@@ -11,12 +11,12 @@
 using namespace cgraph;
 using namespace cgraph::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
-  require_known_flags(opts, {"queries", "scale-shift"});
-  const int shift = static_cast<int>(opts.get_int("scale-shift", 2));
-  const auto num_queries =
-      static_cast<std::size_t>(opts.get_int("queries", 64));
+  Flags f(opts);
+  const int shift = read_scale_shift(f, 2);
+  const std::size_t num_queries = read_queries(f, 64);
+  f.done();
 
   print_header("Ablation: edge-balanced vs vertex-balanced range partition",
                "FR-1B analogue; workload balance and end-to-end effect");
@@ -69,4 +69,6 @@ int main(int argc, char** argv) {
               "stretches every superstep; the paper's edge-balanced split "
               "stays near 1.0 at no extra cost.\n");
   return 0;
+} catch (const FlagError& e) {
+  return flag_error(argv[0], e);
 }

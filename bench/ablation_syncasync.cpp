@@ -13,12 +13,12 @@
 using namespace cgraph;
 using namespace cgraph::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
-  require_known_flags(opts, {"queries", "scale-shift"});
-  const int shift = static_cast<int>(opts.get_int("scale-shift", 2));
-  const auto num_queries =
-      static_cast<std::size_t>(opts.get_int("queries", 16));
+  Flags f(opts);
+  const int shift = read_scale_shift(f, 2);
+  const std::size_t num_queries = read_queries(f, 16);
+  f.done();
 
   print_header("Ablation: sync (BSP) vs async boundary updates",
                std::to_string(num_queries) + " k-hop queries per cell");
@@ -61,4 +61,6 @@ int main(int argc, char** argv) {
               "off only on low-overhead transports (RDMA, cf. Wukong in "
               "the paper's related work).\n");
   return 0;
+} catch (const FlagError& e) {
+  return flag_error(argv[0], e);
 }

@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,14 +66,14 @@ struct BaselineConfig {
   std::size_t reps = 9;
 };
 
-BaselineConfig resolve_config(const Options& opts) {
+BaselineConfig resolve_config(Flags& f) {
   BaselineConfig cfg;
-  if (opts.has("quick")) {
+  if (f.has("quick")) {
     cfg.mode = "quick";
     cfg.rates = {200, 800};
     cfg.reps = 5;
   }
-  if (opts.has("smoke")) {
+  if (f.has("smoke")) {
     cfg.mode = "smoke";
     cfg.scale_shift = 7;
     cfg.machines = 3;
@@ -81,14 +82,11 @@ BaselineConfig resolve_config(const Options& opts) {
     cfg.overhead_queries = 40;
     cfg.reps = 3;
   }
-  cfg.scale_shift =
-      static_cast<int>(opts.get_int("scale-shift", cfg.scale_shift));
-  cfg.machines = static_cast<PartitionId>(
-      opts.get_int("machines", static_cast<int>(cfg.machines)));
-  cfg.queries = static_cast<std::size_t>(
-      opts.get_int("queries", static_cast<int>(cfg.queries)));
+  cfg.scale_shift = read_scale_shift(f, cfg.scale_shift);
+  cfg.machines = read_machines(f, static_cast<int>(cfg.machines));
+  cfg.queries = read_queries(f, static_cast<int>(cfg.queries));
   cfg.reps = static_cast<std::size_t>(
-      opts.get_int("reps", static_cast<int>(cfg.reps)));
+      f.num("reps", static_cast<std::int64_t>(cfg.reps), 1, 1000));
   return cfg;
 }
 
@@ -401,13 +399,21 @@ bool write_overhead_json(const std::string& path, const BaselineConfig& cfg,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
-  require_known_flags(opts, {"dense-alpha", "dense-beta", "dense-levels",
-                             "dense-machines", "machines", "out-dir", "queries",
-                             "quick", "reps", "scale-shift", "smoke"});
-  const BaselineConfig cfg = resolve_config(opts);
-  const std::string out_dir = opts.get("out-dir", ".");
+  Flags f(opts);
+  const BaselineConfig cfg = resolve_config(f);
+  const std::string out_dir = f.str("out-dir", ".");
+  const auto dense_machines =
+      static_cast<PartitionId>(f.num("dense-machines", 1, 1, 4096));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  DirectionOptions dense_direction;
+  dense_direction.alpha = f.real("dense-alpha", dense_direction.alpha, 0,
+                                 kInf, /*positive=*/true);
+  dense_direction.beta = f.real("dense-beta", dense_direction.beta, 0, kInf,
+                                /*positive=*/true);
+  const bool dense_levels = f.has("dense-levels");
+  f.done();
   std::error_code ec;
   std::filesystem::create_directories(out_dir, ec);
 
@@ -495,8 +501,6 @@ int main(int argc, char** argv) {
   // --dense-levels expose the locality and threshold sweeps recorded in
   // EXPERIMENTS.md.
   {
-    const auto dense_machines = static_cast<PartitionId>(
-        opts.get_int("dense-machines", 1));
     const ShardedGraph dense = make_dataset_sharded(
         "FRS-100B", cfg.scale_shift, dense_machines,
         /*build_in_edges=*/true);
@@ -515,18 +519,15 @@ int main(int argc, char** argv) {
     const auto run_mode = [&](TraversalDirection mode) {
       SchedulerOptions one_batch;
       one_batch.batch_width = dense_queries.size();
+      one_batch.direction = dense_direction;
       one_batch.direction.mode = mode;
-      one_batch.direction.alpha = opts.get_double(
-          "dense-alpha", one_batch.direction.alpha);
-      one_batch.direction.beta = opts.get_double(
-          "dense-beta", one_batch.direction.beta);
       return run_concurrent_queries(dense_cluster, dense.shards,
                                     dense.partition, dense_queries,
                                     one_batch);
     };
     const auto push = run_mode(TraversalDirection::kPush);
     const auto hybrid = run_mode(TraversalDirection::kHybrid);
-    if (opts.has("dense-levels")) {
+    if (dense_levels) {
       const auto dump = [](const char* tag, const ConcurrentRunResult& r) {
         for (const auto& b : r.telemetry.batches) {
           for (const auto& lv : b.levels) {
@@ -741,4 +742,6 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %s and %s\n", fig12_path.c_str(), overhead_path.c_str());
   return 0;
+} catch (const FlagError& e) {
+  return flag_error(argv[0], e);
 }

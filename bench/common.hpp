@@ -4,7 +4,9 @@
 //   --scale-shift N   shrink the Table-1 analogue graphs by 2^N (default
 //                     per harness, chosen so it finishes in seconds)
 //   --queries N, --machines N   where meaningful
-// and rejects any flag it does not read (see require_known_flags).
+// Each main reads every flag through one Flags reader before it builds a
+// graph: an unknown flag, a value that is not a number or one out of range
+// exits 2 with one stderr line (flag_error).
 //
 // Results are printed as the same rows/series the paper plots; simulated
 // cluster time is labeled "sim". EXPERIMENTS.md records paper-vs-measured.
@@ -12,10 +14,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <initializer_list>
 #include <string>
-#include <string_view>
 
 #include "cgraph/cgraph.hpp"
 
@@ -49,26 +48,32 @@ inline ShardedGraph make_dataset_sharded(const std::string& name,
 /// DESIGN.md §2): 2.6 GHz Xeon-class compute, 10 GbE-class fabric.
 inline CostModel paper_cost_model() { return CostModel{}; }
 
-/// Exit 2 with one stderr line, before any work, when the command line
-/// holds a flag not in `known` (the flags this harness reads) or a stray
-/// positional argument. Without this a misspelled flag is silently ignored
-/// and the whole figure runs with defaults.
-inline void require_known_flags(const Options& opts,
-                                std::initializer_list<std::string_view> known) {
-  const std::string& prog = opts.program();
-  const std::string name = prog.substr(prog.find_last_of('/') + 1);
-  for (const std::string& key : opts.keys()) {
-    if (std::find(known.begin(), known.end(), key) == known.end()) {
-      std::fprintf(stderr, "%s: unknown flag --%s\n", name.c_str(),
-                   key.c_str());
-      std::exit(2);
-    }
+/// The one way a harness main reports a bad flag: `<harness>: <reason>` on
+/// one stderr line, exit status 2.
+inline int flag_error(const char* argv0, const FlagError& e) {
+  const std::string prog = argv0 != nullptr ? argv0 : "harness";
+  std::fprintf(stderr, "%s: %s\n",
+               prog.substr(prog.find_last_of('/') + 1).c_str(), e.what());
+  return 2;
+}
+
+/// --scale-shift, bounded so every Table-1 analogue keeps scale >= 4.
+inline int read_scale_shift(Flags& f, int def) {
+  unsigned smallest = ~0u;
+  for (const DatasetSpec& s : table1_datasets()) {
+    smallest = std::min(smallest, s.scale);
   }
-  if (!opts.positional().empty()) {
-    std::fprintf(stderr, "%s: unexpected argument '%s'\n", name.c_str(),
-                 opts.positional().front().c_str());
-    std::exit(2);
-  }
+  return static_cast<int>(
+      f.num("scale-shift", def, 0, static_cast<std::int64_t>(smallest) - 4));
+}
+
+inline PartitionId read_machines(Flags& f, int def) {
+  return static_cast<PartitionId>(f.num("machines", def, 1, 4096));
+}
+
+inline std::size_t read_queries(Flags& f, int def) {
+  return static_cast<std::size_t>(
+      f.num("queries", def, 1, std::int64_t{1} << 20));
 }
 
 inline void print_header(const char* figure, const std::string& detail) {

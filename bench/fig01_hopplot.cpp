@@ -30,12 +30,12 @@ void report(const char* name, const Graph& g, std::uint32_t samples) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
-  require_known_flags(opts, {"samples", "scale-shift"});
-  const auto samples =
-      static_cast<std::uint32_t>(opts.get_int("samples", 24));
-  const int shift = static_cast<int>(opts.get_int("scale-shift", 3));
+  Flags f(opts);
+  const auto samples = static_cast<std::uint32_t>(f.num("samples", 24, 1, 4096));
+  const int shift = read_scale_shift(f, 3);
+  f.done();
 
   print_header("Figure 1: hop plot (cumulative path-length distribution)",
                "paper reference: Slashdot Zoo, delta=12, delta0.5=3.51, "
@@ -56,4 +56,6 @@ int main(int argc, char** argv) {
   std::printf("\nshape check: most pairs within <=5 hops (six degrees of "
               "separation), motivating small-k reachability queries.\n");
   return 0;
+} catch (const FlagError& e) {
+  return flag_error(argv[0], e);
 }

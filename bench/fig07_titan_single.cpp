@@ -12,16 +12,15 @@
 using namespace cgraph;
 using namespace cgraph::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
-  require_known_flags(opts, {"queries", "scale-shift", "sources",
-                             "titan-read-us"});
-  const int shift = static_cast<int>(opts.get_int("scale-shift", 3));
-  const auto num_queries =
-      static_cast<std::size_t>(opts.get_int("queries", 100));
+  Flags f(opts);
+  const int shift = read_scale_shift(f, 3);
+  const std::size_t num_queries = read_queries(f, 100);
   const auto sources_per_query =
-      static_cast<std::size_t>(opts.get_int("sources", 3));
-  const auto read_latency_us = opts.get_double("titan-read-us", 10.0);
+      static_cast<std::size_t>(f.num("sources", 3, 1, 64));
+  const double read_latency_us = f.real("titan-read-us", 10.0, 0, 1e6);
+  f.done();
 
   print_header(
       "Figure 7: 100 concurrent 3-hop queries, single machine, OR graph",
@@ -104,4 +103,6 @@ int main(int argc, char** argv) {
              "x; paper: hours vs seconds)");
   }
   return 0;
+} catch (const FlagError& e) {
+  return flag_error(argv[0], e);
 }

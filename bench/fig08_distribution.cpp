@@ -9,12 +9,13 @@
 using namespace cgraph;
 using namespace cgraph::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
-  require_known_flags(opts, {"queries", "scale-shift", "titan-read-us"});
-  const int shift = static_cast<int>(opts.get_int("scale-shift", 3));
-  const auto num_queries =
-      static_cast<std::size_t>(opts.get_int("queries", 100));
+  Flags f(opts);
+  const int shift = read_scale_shift(f, 3);
+  const std::size_t num_queries = read_queries(f, 100);
+  const double read_latency_us = f.real("titan-read-us", 10.0, 0, 1e6);
+  f.done();
 
   // ---------------- (a) OR graph, single machine, vs TitanLike ----------
   print_header("Figure 8a: response distribution vs TitanLike "
@@ -34,7 +35,7 @@ int main(int argc, char** argv) {
     for (const auto& q : cg_run.queries) cg.add(q.wall_seconds);
 
     TitanLikeOptions topt;
-    topt.storage.read_latency_us = opts.get_double("titan-read-us", 10.0);
+    topt.storage.read_latency_us = read_latency_us;
     topt.storage.write_latency_us = 0;
     TitanLikeDb titan(topt);
     titan.load(sg.graph);
@@ -86,4 +87,6 @@ int main(int argc, char** argv) {
              AsciiTable::fmt(ge.mean() / cg.mean(), 1) + "x");
   }
   return 0;
+} catch (const FlagError& e) {
+  return flag_error(argv[0], e);
 }

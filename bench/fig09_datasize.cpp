@@ -11,13 +11,13 @@
 using namespace cgraph;
 using namespace cgraph::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
-  require_known_flags(opts, {"machines", "queries", "scale-shift"});
-  const int shift = static_cast<int>(opts.get_int("scale-shift", 2));
-  const auto num_queries =
-      static_cast<std::size_t>(opts.get_int("queries", 100));
-  const auto machines = static_cast<PartitionId>(opts.get_int("machines", 9));
+  Flags f(opts);
+  const int shift = read_scale_shift(f, 2);
+  const std::size_t num_queries = read_queries(f, 100);
+  const PartitionId machines = read_machines(f, 9);
+  f.done();
 
   print_header("Figure 9: data-size scalability",
                std::to_string(num_queries) + " concurrent 3-hop queries, " +
@@ -49,4 +49,6 @@ int main(int argc, char** argv) {
              "s (paper shape: bound grows mildly with 100x data)");
   }
   return 0;
+} catch (const FlagError& e) {
+  return flag_error(argv[0], e);
 }

@@ -11,12 +11,13 @@
 using namespace cgraph;
 using namespace cgraph::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
-  require_known_flags(opts, {"iterations", "scale-shift"});
-  const int shift = static_cast<int>(opts.get_int("scale-shift", 2));
+  Flags f(opts);
+  const int shift = read_scale_shift(f, 2);
   const auto iters =
-      static_cast<std::uint64_t>(opts.get_int("iterations", 10));
+      static_cast<std::uint64_t>(f.num("iterations", 10, 1, 10000));
+  f.done();
 
   print_header("Figure 10: PageRank multi-machine scalability",
                std::to_string(iters) +
@@ -61,4 +62,6 @@ int main(int argc, char** argv) {
               "(paper: scaling stalls beyond 6 machines)\n",
               speedup_at(0, 5), speedup_at(0, 8));
   return 0;
+} catch (const FlagError& e) {
+  return flag_error(argv[0], e);
 }

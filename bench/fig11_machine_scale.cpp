@@ -12,12 +12,12 @@
 using namespace cgraph;
 using namespace cgraph::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
-  require_known_flags(opts, {"queries", "scale-shift"});
-  const int shift = static_cast<int>(opts.get_int("scale-shift", 2));
-  const auto num_queries =
-      static_cast<std::size_t>(opts.get_int("queries", 100));
+  Flags f(opts);
+  const int shift = read_scale_shift(f, 2);
+  const std::size_t num_queries = read_queries(f, 100);
+  f.done();
 
   print_header("Figure 11: machine-count scalability (FR-1B graph)",
                std::to_string(num_queries) +
@@ -62,4 +62,6 @@ int main(int argc, char** argv) {
   rep.note("paper shape: distributions stay tight across machine counts; "
            "boundary-vertex growth offsets added compute.");
   return 0;
+} catch (const FlagError& e) {
+  return flag_error(argv[0], e);
 }

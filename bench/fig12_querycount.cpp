@@ -15,6 +15,8 @@
 // the query-count knee shows up as a latency knee versus arrival rate.
 // Tunables: --queries N, --rates a,b,c (qps), --queue-cap N,
 // --deadline S, --linger S.
+#include <cstdlib>
+#include <limits>
 #include <memory>
 
 #include "bench/common.hpp"
@@ -24,47 +26,56 @@ using namespace cgraph::bench;
 
 namespace {
 
-/// Parse a comma-separated rate list ("200,400,800").
+/// The open-loop sweep's flags, read with the rest before any graph build.
+struct OpenLoopConfig {
+  std::size_t queries = 350;
+  std::vector<double> rates = {100, 200, 400, 800, 1600};
+  std::size_t queue_cap = 1024;
+  double deadline = 0.0;
+  double linger = 0.010;
+};
+
+/// Parse a comma-separated list of positive rates ("200,400,800").
 std::vector<double> parse_rates(const std::string& csv) {
   std::vector<double> rates;
   std::size_t pos = 0;
-  while (pos < csv.size()) {
+  while (pos <= csv.size()) {
     std::size_t comma = csv.find(',', pos);
     if (comma == std::string::npos) comma = csv.size();
-    rates.push_back(std::atof(csv.substr(pos, comma - pos).c_str()));
+    const std::string item = csv.substr(pos, comma - pos);
+    char* end = nullptr;
+    const double rate = std::strtod(item.c_str(), &end);
+    if (item.empty() || end != item.c_str() + item.size() ||
+        !(rate > 0 && rate < 1e9)) {
+      throw FlagError("bad --rates entry '" + item +
+                      "' (want positive qps, comma-separated)");
+    }
+    rates.push_back(rate);
     pos = comma + 1;
   }
   return rates;
 }
 
-int run_open_loop(const Options& opts, const ShardedGraph& sg,
+int run_open_loop(const OpenLoopConfig& cfg, const ShardedGraph& sg,
                   Cluster& cluster, std::uint64_t budget) {
-  const auto count = static_cast<std::size_t>(opts.get_int("queries", 350));
-  std::vector<double> rates = parse_rates(opts.get("rates"));
-  if (rates.empty()) rates = {100, 200, 400, 800, 1600};
-
   std::printf("\nopen loop: %zu Poisson arrivals per rate, "
-              "queue-cap %lld, deadline %.3fs, linger %.3fs\n",
-              count,
-              static_cast<long long>(opts.get_int("queue-cap", 1024)),
-              opts.get_double("deadline", 0.0),
-              opts.get_double("linger", 0.010));
+              "queue-cap %zu, deadline %.3fs, linger %.3fs\n",
+              cfg.queries, cfg.queue_cap, cfg.deadline, cfg.linger);
   std::printf("  %10s %8s %8s %9s %9s %9s %9s\n", "rate(qps)", "shed",
               "expired", "p50(s)", "p95(s)", "p99(s)", "batches");
-  for (const double rate : rates) {
+  for (const double rate : cfg.rates) {
     PoissonArrivalParams ap;
     ap.rate_qps = rate;
-    ap.count = count;
+    ap.count = cfg.queries;
     ap.k = 3;
     ap.seed = 909;
     const auto arrivals = make_poisson_arrivals(sg.graph, ap);
 
     ServiceOptions service;
     service.scheduler.memory_budget_bytes = budget;
-    service.queue_cap =
-        static_cast<std::size_t>(opts.get_int("queue-cap", 1024));
-    service.deadline_seconds = opts.get_double("deadline", 0.0);
-    service.linger_seconds = opts.get_double("linger", 0.010);
+    service.queue_cap = cfg.queue_cap;
+    service.deadline_seconds = cfg.deadline;
+    service.linger_seconds = cfg.linger;
     const auto run = run_query_service(cluster, sg.shards, sg.partition,
                                        arrivals, service);
     std::printf("  %10.0f %8llu %8llu %9.4f %9.4f %9.4f %9llu\n", rate,
@@ -81,17 +92,25 @@ int run_open_loop(const Options& opts, const ShardedGraph& sg,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
-  require_known_flags(opts, {"deadline", "linger", "machines", "open-loop",
-                             "queries", "queue-cap", "rates", "scale-shift",
-                             "trace-out"});
-  const int shift = static_cast<int>(opts.get_int("scale-shift", 2));
-  const auto machines = static_cast<PartitionId>(opts.get_int("machines", 9));
+  Flags f(opts);
+  const int shift = read_scale_shift(f, 2);
+  const PartitionId machines = read_machines(f, 9);
+  const std::string trace_out = f.str("trace-out");
+  const bool open_loop = f.has("open-loop");
+  OpenLoopConfig open_cfg;
+  open_cfg.queries = read_queries(f, 350);
+  if (f.has("rates")) open_cfg.rates = parse_rates(f.str("rates"));
+  open_cfg.queue_cap =
+      static_cast<std::size_t>(f.num("queue-cap", 1024, 0, Flags::kMax));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  open_cfg.deadline = f.real("deadline", 0.0, 0.0, kInf);
+  open_cfg.linger = f.real("linger", 0.010, 0.0, kInf);
+  f.done();
 
   // --trace-out PATH: record the whole bench run and export a Chrome
   // trace (or JSONL for .jsonl paths) when main returns.
-  const std::string trace_out = opts.get("trace-out");
   std::unique_ptr<obs::EventTracer> tracer;
   std::unique_ptr<obs::EventTracer::Scope> trace_scope;
   if (!trace_out.empty()) {
@@ -130,8 +149,8 @@ int main(int argc, char** argv) {
                 AsciiTable::humanize(budget).c_str());
   }
 
-  if (opts.has("open-loop")) {
-    return finish_trace(run_open_loop(opts, sg, cluster, budget));
+  if (open_loop) {
+    return finish_trace(run_open_loop(open_cfg, sg, cluster, budget));
   }
 
   std::vector<ResponseTimeSeries> series;
@@ -196,4 +215,6 @@ int main(int argc, char** argv) {
     }
   }
   return finish_trace(0);
+} catch (const FlagError& e) {
+  return flag_error(argv[0], e);
 }

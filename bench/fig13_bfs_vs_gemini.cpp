@@ -11,11 +11,12 @@
 using namespace cgraph;
 using namespace cgraph::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
-  require_known_flags(opts, {"machines", "scale-shift"});
-  const int shift = static_cast<int>(opts.get_int("scale-shift", 2));
-  const auto machines = static_cast<PartitionId>(opts.get_int("machines", 3));
+  Flags f(opts);
+  const int shift = read_scale_shift(f, 2);
+  const PartitionId machines = read_machines(f, 3);
+  f.done();
 
   print_header("Figure 13: concurrent full-BFS queries vs GeminiLike "
                "(FR-1B graph, 3 machines)",
@@ -61,4 +62,6 @@ int main(int argc, char** argv) {
               "sublinear, ~1.7x at 64/128 and ~2.4x at 256 "
               "(measured at 256: %.1fx)\n", speedup_at_256);
   return 0;
+} catch (const FlagError& e) {
+  return flag_error(argv[0], e);
 }

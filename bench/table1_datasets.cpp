@@ -6,10 +6,11 @@
 using namespace cgraph;
 using namespace cgraph::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
-  require_known_flags(opts, {"scale-shift"});
-  const int shift = static_cast<int>(opts.get_int("scale-shift", 2));
+  Flags f(opts);
+  const int shift = read_scale_shift(f, 2);
+  f.done();
 
   print_header("Table 1: Datasets Description",
                "paper graphs vs generated analogues (scale-shift " +
@@ -32,4 +33,6 @@ int main(int argc, char** argv) {
   std::printf("note: FRS-72B/FRS-100B edge factors are capped at 64/36 for "
               "host memory; Table 1 V/E metadata is preserved exactly.\n");
   return 0;
+} catch (const FlagError& e) {
+  return flag_error(argv[0], e);
 }

@@ -7,9 +7,9 @@
 #      committed BENCH_trace_overhead.json.
 #   2. Rebuild bench/baseline_runner and regenerate the fig12 sweep with
 #      the identical (full) configuration.
-#   3. Diff the fresh sweep against the committed one with a 20% drift
-#      gate. Every compared metric is simulated-clock, so the diff is
-#      exactly zero on an unchanged tree — drift means engine behavior
+#   3. Diff the fresh sweep against the committed one exactly (0%
+#      tolerance). Every compared metric is simulated-clock, so the diff is
+#      exactly zero on an unchanged tree — any drift means engine behavior
 #      changed and the baseline must be regenerated deliberately.
 #
 #   4. Run the wall-clock suite's smoke mode (bench/suite/run.py --smoke):
@@ -70,7 +70,7 @@ OUT_DIR="$BUILD_DIR/bench-baseline"
 "$BUILD_DIR/bench/baseline_runner" --out-dir "$OUT_DIR"
 
 python3 "$SRC_DIR/ci/validate_bench.py" --schema "$SCHEMA" \
-  --baseline "$SRC_DIR/BENCH_fig12.json" --tolerance-pct 20 \
+  --baseline "$SRC_DIR/BENCH_fig12.json" --tolerance-pct 0 \
   "$OUT_DIR/BENCH_fig12.json"
 python3 "$SRC_DIR/ci/validate_bench.py" --schema "$SCHEMA" \
   "$OUT_DIR/BENCH_trace_overhead.json"

@@ -106,79 +106,8 @@ int usage() {
   return 2;
 }
 
-/// A flag the operator got wrong: main() prints it on one line, exits 2.
-/// Options::get_int/get_double throw the same base type for non-numbers.
-struct FlagError : std::invalid_argument {
-  using std::invalid_argument::invalid_argument;
-};
-
-constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
-constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::int64_t kMaxQueries = std::int64_t{1} << 20;
-
-/// One command's flags. Every read marks the flag as one the command
-/// takes and range-checks its value; done() then rejects any flag nobody
-/// read, so a typo fails before the command loads or runs anything.
-class Flags {
- public:
-  explicit Flags(const Options& opts) : opts_(opts) {}
-
-  bool has(const std::string& name) {
-    known_.insert(name);
-    return opts_.has(name);
-  }
-
-  std::string str(const std::string& name, const std::string& def = "") {
-    known_.insert(name);
-    return opts_.get(name, def);
-  }
-
-  std::string required(const std::string& name) {
-    std::string value = str(name);
-    if (value.empty()) throw FlagError("missing --" + name);
-    return value;
-  }
-
-  std::int64_t num(const std::string& name, std::int64_t def,
-                   std::int64_t lo = kInt64Min, std::int64_t hi = kInt64Max) {
-    known_.insert(name);
-    const std::int64_t v = opts_.get_int(name, def);
-    if (v < lo || v > hi) {
-      throw FlagError("--" + name + " " + std::to_string(v) +
-                      " is out of range [" + std::to_string(lo) + ", " +
-                      std::to_string(hi) + "]");
-    }
-    return v;
-  }
-
-  /// A double in [lo, hi], or in (0, hi] when `positive`.
-  double real(const std::string& name, double def, double lo, double hi,
-              bool positive = false) {
-    known_.insert(name);
-    const double v = opts_.get_double(name, def);
-    if (!(v >= lo && v <= hi) || (positive && v <= 0)) {
-      char msg[160];
-      std::snprintf(msg, sizeof(msg), "--%s %g is out of range %s%g, %g]",
-                    name.c_str(), v, positive ? "(" : "[", lo, hi);
-      throw FlagError(msg);
-    }
-    return v;
-  }
-
-  void done() const {
-    for (const std::string& key : opts_.keys()) {
-      if (known_.count(key) == 0) throw FlagError("unknown flag --" + key);
-    }
-    if (!opts_.positional().empty()) {
-      throw FlagError("unexpected argument '" + opts_.positional()[0] + "'");
-    }
-  }
-
- private:
-  const Options& opts_;
-  std::set<std::string> known_;
-};
 
 using AtList = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
@@ -292,7 +221,7 @@ ClusterFlags read_cluster(Flags& f, bool replication) {
   c.crash_prob = f.real("crash-prob", 0.0, 0.0, 1.0);
   g_fault_seed = static_cast<std::uint64_t>(f.num("fault-seed", 1));
   c.checkpoints.checkpoint_interval = static_cast<std::uint64_t>(
-      f.num("checkpoint-interval", 1, 1, kInt64Max));
+      f.num("checkpoint-interval", 1, 1, Flags::kMax));
   c.checkpoints.checkpoint_dir = f.str("checkpoint-dir");
   c.recovery = !crash.empty() || c.crash_prob > 0.0 ||
                f.has("checkpoint-dir") || f.has("checkpoint-interval");

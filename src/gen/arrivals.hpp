@@ -1,7 +1,7 @@
 // Open-loop arrival processes for the online query service.
 //
-// The offline harness (run_concurrent_queries) assumes every query is
-// present at t=0; a serving system sees queries *arrive*. These generators
+// The closed world (run_concurrent_queries) assumes every query is present
+// at t=0; a serving system sees queries *arrive*. These generators
 // stamp the usual random k-hop workload with simulated arrival times:
 // Poisson (exponential inter-arrival gaps at a configured rate, the
 // standard open-loop load model) or an explicit timestamp trace. Both are

@@ -1,11 +1,11 @@
 // Trace spans and structured run telemetry for the query path.
 //
 // Engines record what actually happened (per-level frontier sizes, edges,
-// bitmap word ops) into LevelTrace rows; the scheduler wraps them with
+// bitmap word ops) into LevelTrace rows; the service wraps them with
 // queue-wait / execute timings per batch and per query and publishes the
 // whole RunTelemetry into a MetricsRegistry — the per-superstep cost
 // breakdown GPOP/iPregel use to attribute wins, available for every
-// run_concurrent_queries() call.
+// run_query_service() call and so every run_concurrent_queries() call.
 #pragma once
 
 #include <cstdint>
@@ -150,7 +150,8 @@ struct QueryTrace {
   double execute_sim_seconds = 0;  // batch start -> this query complete
 };
 
-/// Everything observable about one run_concurrent_queries() call.
+/// Everything observable about one run_query_service() or
+/// run_concurrent_queries() call.
 struct RunTelemetry {
   std::vector<BatchTrace> batches;
   std::vector<QueryTrace> queries;

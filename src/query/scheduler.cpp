@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 
-#include "obs/event_tracer.hpp"
 #include "query/distributed_khop.hpp"
 #include "query/msbfs.hpp"
+#include "query/service.hpp"
 #include "util/assert.hpp"
 #include "util/bitops.hpp"
 #include "util/logging.hpp"
@@ -141,145 +142,57 @@ ConcurrentRunResult run_concurrent_queries(
     const SchedulerOptions& opts) {
   CGRAPH_CHECK(!queries.empty());
 
-  obs::MetricsRegistry& registry =
-      opts.metrics != nullptr ? *opts.metrics : obs::MetricsRegistry::global();
-  obs::TraceSpan run_span("run_concurrent_queries", &registry);
-
-  BatchExecutor executor(cluster, shards, partition, opts);
-  const BatchPolicy policy = executor.policy();
-
-  ConcurrentRunResult run;
-  run.queries.resize(queries.size());
-  run.telemetry.effective_policy = to_string(policy);
-
-  // Batch composition: FIFO keeps submission order; degree-sorted groups
-  // queries with similar expected work. `order[i]` maps execution slot i
-  // back to the submission index.
+  // The closed world is the service on a t=0 stream: zero linger seals only
+  // at batch_width or end of stream, and nothing is shed or expires.
+  // Degree-sorted batches are cut from the whole workload, so the stream is
+  // submitted pre-sorted (stable) and the service's within-window sort is
+  // the identity. `order[slot]` maps a stream slot back to its submission.
   std::vector<std::size_t> order(queries.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::vector<KHopQuery> reordered;
-  std::span<const KHopQuery> exec_queries = queries;
-  if (policy == BatchPolicy::kDegreeSorted) {
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (effective_batch_policy(opts) == BatchPolicy::kDegreeSorted) {
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
                        return opts.degree_of(queries[a].source) >
                               opts.degree_of(queries[b].source);
                      });
-    reordered.reserve(queries.size());
-    for (std::size_t i : order) reordered.push_back(queries[i]);
-    exec_queries = reordered;
   }
+  std::vector<TimedQuery> stream;
+  stream.reserve(queries.size());
+  for (std::size_t i : order) stream.push_back({queries[i], 0.0});
 
-  double wait_wall = 0;
-  double wait_sim = 0;
+  ServiceOptions service;
+  service.scheduler = opts;
+  service.queue_cap = 0;
+  service.deadline_seconds = 0;
+  service.linger_seconds = 0;
+  service.pipeline = false;
+  ServiceRunResult served =
+      run_query_service(cluster, shards, partition, stream, service);
 
-  for (std::size_t begin = 0; begin < exec_queries.size();
-       begin += opts.batch_width) {
-    const std::size_t end =
-        std::min(begin + opts.batch_width, exec_queries.size());
-    const std::span<const KHopQuery> batch =
-        exec_queries.subspan(begin, end - begin);
-
-    obs::TraceSpan batch_span("batch_execute", &registry);
-    // Engine events carry batch-relative sim times (every engine resets the
-    // cluster clocks); the batch context re-bases them onto the run's
-    // absolute sim axis and stamps the batch id. Batches execute serially,
-    // so one global context is race-free.
-    obs::EventTracer* tracer = obs::EventTracer::current();
-    if (tracer != nullptr) {
-      tracer->set_batch_context(static_cast<std::int64_t>(run.batches),
-                                wait_sim);
-    }
-    BatchExecutor::Outcome out = executor.execute(batch);
-    if (tracer != nullptr) tracer->clear_batch_context();
-    batch_span.finish();
-
-    obs::BatchTrace bt = std::move(out.trace);
-    bt.index = run.batches;
-    bt.wait_sim_seconds = wait_sim;
-    ++run.batches;
-    run.total_edges_scanned += out.result.edges_scanned;
-
-    if (obs::tracing_enabled()) {
-      obs::TraceEvent ev;
-      ev.phase = obs::TraceEventPhase::kBatchExecute;
-      ev.kind = obs::TraceEventKind::kSpan;
-      ev.machine = obs::TraceEvent::kExecutorTrack;
-      ev.batch = static_cast<std::int64_t>(bt.index);
-      ev.sim_seconds = wait_sim;
-      ev.sim_dur_seconds = out.result.sim_seconds * out.slowdown;
-      ev.wall_dur_ns = static_cast<std::uint64_t>(
-          out.result.wall_seconds * 1e9);
-      ev.a = static_cast<double>(batch.size());
-      obs::trace(ev);
-      if (out.reexecuted) {
-        for (const KHopQuery& q : batch) {
-          obs::TraceEvent rx;
-          rx.phase = obs::TraceEventPhase::kQueryReexecuted;
-          rx.kind = obs::TraceEventKind::kInstant;
-          rx.machine = obs::TraceEvent::kExecutorTrack;
-          rx.query = static_cast<std::int64_t>(q.id);
-          rx.batch = static_cast<std::int64_t>(bt.index);
-          rx.sim_seconds = wait_sim;
-          obs::trace(rx);
-        }
-      }
-    }
-
-    const MsBfsBatchResult& br = out.result;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      QueryResult& qr = run.queries[order[begin + i]];
-      qr.id = batch[i].id;
-      qr.visited = br.visited[i];
-      qr.levels = br.levels[i];
-      qr.wall_seconds =
-          wait_wall + br.completion_wall_seconds[i] * out.slowdown;
-      qr.sim_seconds =
-          wait_sim + br.completion_sim_seconds[i] * out.slowdown;
-
-      obs::QueryTrace qt;
-      qt.id = batch[i].id;
-      qt.batch_index = bt.index;
-      qt.levels = br.levels[i];
-      qt.visited = br.visited[i];
-      qt.wait_sim_seconds = wait_sim;
-      qt.execute_sim_seconds = br.completion_sim_seconds[i] * out.slowdown;
-      run.telemetry.queries.push_back(qt);
-
-      if (obs::tracing_enabled()) {
-        obs::TraceEvent ev;
-        ev.phase = obs::TraceEventPhase::kQuery;
-        ev.kind = obs::TraceEventKind::kSpan;
-        ev.machine = obs::TraceEvent::kExecutorTrack;
-        ev.query = static_cast<std::int64_t>(qr.id);
-        ev.batch = static_cast<std::int64_t>(bt.index);
-        ev.sim_seconds = 0.0;  // closed-loop: all queries submitted at t=0
-        ev.sim_dur_seconds = qr.sim_seconds;
-        ev.a = static_cast<double>(qr.visited);
-        ev.b = static_cast<double>(qr.levels);
-        obs::trace(ev);
-        obs::TraceEvent done_ev;
-        done_ev.phase = obs::TraceEventPhase::kQueryComplete;
-        done_ev.kind = obs::TraceEventKind::kInstant;
-        done_ev.machine = obs::TraceEvent::kExecutorTrack;
-        done_ev.query = static_cast<std::int64_t>(qr.id);
-        done_ev.batch = static_cast<std::int64_t>(bt.index);
-        done_ev.sim_seconds = qr.sim_seconds;
-        done_ev.a = static_cast<double>(qr.visited);
-        done_ev.b = static_cast<double>(qr.levels);
-        obs::trace(done_ev);
-      }
-    }
-    wait_wall += br.wall_seconds * out.slowdown;
-    wait_sim += br.sim_seconds * out.slowdown;
-    run.telemetry.batches.push_back(std::move(bt));
+  // A query's wall is the measured wall of the batches before its own plus
+  // its own completion wall; the memory model stretches sim time only.
+  std::vector<double> wall_before(served.telemetry.batches.size() + 1, 0.0);
+  for (std::size_t b = 0; b < served.telemetry.batches.size(); ++b) {
+    wall_before[b + 1] =
+        wall_before[b] + served.telemetry.batches[b].execute_wall_seconds;
   }
-
-  run.peak_memory_bytes = executor.peak_memory_bytes();
-  run.total_wall_seconds = wait_wall;
-  run.total_sim_seconds = wait_sim;
-  run_span.finish();
-  run.telemetry.publish(registry);
+  ConcurrentRunResult run;
+  run.queries.resize(queries.size());
+  for (std::size_t slot = 0; slot < stream.size(); ++slot) {
+    const ServiceQueryRecord& r = served.queries[slot];
+    QueryResult& qr = run.queries[order[slot]];
+    qr.id = r.id;
+    qr.visited = r.visited;
+    qr.levels = r.levels;
+    qr.wall_seconds = wall_before[r.batch_index] + r.execute_wall_seconds;
+    qr.sim_seconds = r.response_sim_seconds;
+  }
+  run.total_wall_seconds = wall_before.back();
+  run.total_sim_seconds = served.makespan_sim_seconds;
+  run.total_edges_scanned = served.telemetry.total_edges_scanned();
+  run.peak_memory_bytes = served.peak_memory_bytes;
+  run.batches = served.stats.batches;
+  run.telemetry = std::move(served.telemetry);
   return run;
 }
 

@@ -7,12 +7,15 @@
 // parameters"). Batches execute back-to-back on the cluster; a query's
 // response time is its queue wait plus its completion time inside its own
 // batch, which is exactly how response time stacks in the real system.
+// run_concurrent_queries is run_query_service (query/service.hpp) on a t=0
+// stream, so both front ends share one batch former.
 //
 // Memory model: every finished query retains its result (the paper notes
 // "every query returns with found paths, the memory usage increases
 // linearly with the query count"). When the modeled footprint exceeds the
-// configured budget, batch execution slows proportionally — reproducing
-// the degradation the paper reports at 350 concurrent queries (Fig. 12).
+// configured budget, the batch's simulated time stretches proportionally —
+// reproducing the degradation the paper reports at 350 concurrent queries
+// (Fig. 12). Measured wall times are never stretched.
 #pragma once
 
 #include <algorithm>
@@ -49,7 +52,7 @@ struct SchedulerOptions {
   bool use_bit_parallel = true;
   /// Modeled memory budget; 0 disables the memory-pressure model.
   std::uint64_t memory_budget_bytes = 0;
-  /// Execution slowdown per 1x budget overshoot (linear model).
+  /// Simulated-time slowdown per 1x budget overshoot (linear model).
   double memory_penalty = 3.0;
   /// Modeled bytes retained per visited vertex in query results
   /// ("returns with found paths").
@@ -87,12 +90,11 @@ struct SchedulerOptions {
 /// silent.
 [[nodiscard]] BatchPolicy effective_batch_policy(const SchedulerOptions& opts);
 
-/// Reusable batch-execute core shared by the offline scheduler
-/// (run_concurrent_queries) and the online service layer
-/// (run_query_service). Executes one admitted batch on the cluster via the
+/// Batch-execute core behind run_query_service and each replica of a
+/// ReplicaRouter. Executes one admitted batch on the cluster via the
 /// configured engine and carries the cross-batch memory-retention model
 /// ("every query returns with found paths"), so the same admitted batch
-/// produces bit-identical visited/levels whichever front end formed it.
+/// produces bit-identical visited/levels whichever replica runs it.
 class BatchExecutor {
  public:
   BatchExecutor(Cluster& cluster, const std::vector<SubgraphShard>& shards,
@@ -100,7 +102,7 @@ class BatchExecutor {
 
   struct Outcome {
     MsBfsBatchResult result;
-    /// Memory-pressure stretch applied to this batch's times (>= 1).
+    /// Memory-pressure stretch applied to this batch's sim times (>= 1).
     double slowdown = 1.0;
     /// Modeled bytes live while this batch executed.
     std::uint64_t footprint_bytes = 0;
@@ -169,7 +171,9 @@ struct ConcurrentRunResult {
 };
 
 /// Execute all queries "simultaneously submitted" against the sharded
-/// graph and report per-query response times.
+/// graph and report per-query response times: run_query_service on a t=0
+/// stream with zero linger, no queue bound and no deadline. Degree-sorted
+/// batches are cut from the whole workload, not per window.
 ConcurrentRunResult run_concurrent_queries(
     Cluster& cluster, const std::vector<SubgraphShard>& shards,
     const RangePartition& partition, std::span<const KHopQuery> queries,

@@ -75,6 +75,8 @@ class ServicePipeline {
             "cgraph_index_fallback_total",
             "Point queries resolved by the traversal engine after an "
             "unknown index probe")) {
+    CGRAPH_CHECK_MSG(opts.linger_seconds >= 0,
+                     "linger_seconds must be >= 0");
     result_.queries.resize(arrivals.size());
     for (std::size_t i = 0; i < arrivals.size(); ++i) {
       ServiceQueryRecord& r = result_.queries[i];
@@ -115,9 +117,10 @@ class ServicePipeline {
                        "arrival stream must be nondecreasing");
       last_arrival = t;
 
-      // Max-linger seal: the pending batch closed before this arrival.
-      if (!pending_.empty() && opts_.linger_seconds > 0 &&
-          pending_.front().arrival + opts_.linger_seconds <= t) {
+      // Max-linger seal: a batch seals at front + linger, after admitting
+      // every arrival stamped at or before that time.
+      if (!pending_.empty() &&
+          pending_.front().arrival + opts_.linger_seconds < t) {
         seal(pending_.front().arrival + opts_.linger_seconds);
       }
 
@@ -208,15 +211,10 @@ class ServicePipeline {
       queue_depth_high_water_.set(
           static_cast<double>(result_.stats.peak_queue_depth));
 
-      if (pending_.size() >= opts_.scheduler.batch_width ||
-          opts_.linger_seconds <= 0) {
-        seal(t);
-      }
+      if (pending_.size() >= opts_.scheduler.batch_width) seal(t);
     }
     if (!pending_.empty()) {
-      seal(opts_.linger_seconds > 0
-               ? pending_.front().arrival + opts_.linger_seconds
-               : last_arrival);
+      seal(pending_.front().arrival + opts_.linger_seconds);
     }
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -243,8 +241,7 @@ class ServicePipeline {
     }
     if (executor_.policy() == BatchPolicy::kDegreeSorted) {
       // Degree-sorted within the admitted window; stable so equal-degree
-      // queries keep submission order (the tie rule the offline scheduler
-      // pins too).
+      // queries keep submission order.
       const auto& degree_of = opts_.scheduler.degree_of;
       std::stable_sort(sb.members.begin(), sb.members.end(),
                        [&](const PendingQuery& a, const PendingQuery& b) {
@@ -255,6 +252,7 @@ class ServicePipeline {
     {
       std::lock_guard<std::mutex> lk(mu_);
       sealed_sizes_.push_back(sb.members.size());
+      sealed_members_ += sb.members.size();
       start_times_.push_back(0);
       finish_times_.push_back(0);
       backlog_.push_back(std::move(sb));
@@ -279,12 +277,13 @@ class ServicePipeline {
       return timed_ == sealed_total_ ||
              (timed_ > 0 && finish_times_[timed_ - 1] > t);
     });
-    std::size_t waiting = 0;
-    for (std::size_t b = 0; b < sealed_sizes_.size(); ++b) {
-      const bool started = b < timed_ && start_times_[b] <= t;
-      if (!started) waiting += sealed_sizes_[b];
+    // Starts are monotone and arrival times never decrease, so the batches
+    // started by t are a prefix that only grows: extend it, never rescan.
+    while (started_ < timed_ && start_times_[started_] <= t) {
+      started_members_ += sealed_sizes_[started_];
+      ++started_;
     }
-    return waiting;
+    return sealed_members_ - started_members_;
   }
 
   // ---- execution side (worker thread; caller thread in serial mode) ----
@@ -538,6 +537,7 @@ class ServicePipeline {
         // already completed on the dead replica before the adopted cut.
         r.execute_sim_seconds =
             out.result.completion_sim_seconds[i] * out.slowdown + wasted;
+        r.execute_wall_seconds = out.result.completion_wall_seconds[i];
         r.response_sim_seconds =
             r.queue_wait_sim_seconds + r.execute_sim_seconds;
         r.visited = out.result.visited[i];
@@ -710,6 +710,10 @@ class ServicePipeline {
   std::vector<double> start_times_;
   std::vector<double> finish_times_;
   std::size_t timed_ = 0;  // batches with published start/finish
+  std::size_t sealed_members_ = 0;  // sum of sealed_sizes_
+  // Admission-thread cursor over the started prefix (waiting_admitted_at).
+  std::size_t started_ = 0;
+  std::size_t started_members_ = 0;
 };
 
 void publish_service_metrics(obs::MetricsRegistry& reg,

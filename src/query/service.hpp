@@ -1,9 +1,8 @@
-// Online admission front end for the concurrent-query scheduler.
+// Online admission front end and the one batch former of the
+// concurrent-query engine (paper §3.3).
 //
-// The paper's §3.3 scenario is *concurrent* queries, but the offline
-// harness (run_concurrent_queries) assumes a closed world: every query
-// present at t=0, batches back-to-back. This layer serves an *open-loop*
-// arrival stream (gen/arrivals.hpp) the way a production front end would:
+// run_query_service serves an open-loop arrival stream (gen/arrivals.hpp)
+// the way a production front end would:
 //
 //   * bounded admission queue with backpressure — when the queries waiting
 //     to start execution reach queue_cap, new arrivals are shed;
@@ -11,18 +10,21 @@
 //     already passed when its batch reaches the head of the line is
 //     dropped (expired) instead of burning cluster time;
 //   * adaptive MS-BFS batch formation — a batch seals when batch_width
-//     admitted queries are pending OR the oldest has lingered
-//     linger_seconds, whichever first; FIFO or degree-sorted within the
-//     admitted window;
+//     admitted queries are pending, or at oldest arrival + linger_seconds
+//     once every arrival stamped at or before that time is admitted;
+//     FIFO or degree-sorted within the admitted window;
 //   * pipelined execution — batches execute on a worker thread through the
 //     shared BatchExecutor core while admission keeps consuming arrivals.
+//
+// The closed world (run_concurrent_queries: every query present at t=0,
+// batches back-to-back) is this function on a t=0 stream with zero linger,
+// no queue bound and no deadline, so simultaneous arrivals share batches
+// up to batch_width and there is one batch former (DESIGN.md §10).
 //
 // Determinism: every admission / shedding / sealing decision is a pure
 // function of the arrival timestamps and the (deterministic) simulated
 // batch makespans, never of host wall-clock or thread interleaving, so a
-// pipelined run and a single-threaded run produce identical outcomes and
-// the same admitted batch is bit-exact versus the offline scheduler
-// (DESIGN.md §10).
+// pipelined run and a single-threaded run produce identical outcomes.
 #pragma once
 
 #include <cstdint>
@@ -63,8 +65,9 @@ struct ServiceOptions {
   /// wait exceeds this when its batch starts is dropped as expired.
   /// 0 disables expiry.
   double deadline_seconds = 0;
-  /// Max linger: a partial batch seals once its oldest admitted query has
-  /// waited this long. <= 0 seals every batch at first arrival.
+  /// Max linger (>= 0): a partial batch seals at its oldest arrival plus
+  /// this, after admitting every arrival stamped at or before that time.
+  /// 0 batches simultaneous arrivals together and distinct stamps apart.
   double linger_seconds = 0.010;
   /// Overlap admission with execution on a worker thread (the production
   /// shape and the TSAN target); false runs both phases on the caller
@@ -102,6 +105,9 @@ struct ServiceQueryRecord {
   double execute_sim_seconds = 0;
   /// End-to-end: arrival -> answered (completed only).
   double response_sim_seconds = 0;
+  /// Measured host wall, batch start -> this query answered (completed
+  /// only). Never stretched by the modeled memory slowdown.
+  double execute_wall_seconds = 0;
   std::uint64_t visited = 0;
   Depth levels = 0;
   /// Point-query bookkeeping (kInvalidVertex target = aggregate query).
@@ -181,9 +187,9 @@ struct ServiceRunResult {
   /// Last batch finish (or last arrival when nothing executed).
   double makespan_sim_seconds = 0;
   std::uint64_t peak_memory_bytes = 0;
-  /// Same structured trace the offline scheduler emits (executed batches
-  /// only); already published into the configured metrics registry along
-  /// with the cgraph_service_* series.
+  /// Structured trace of the executed batches and their queries; already
+  /// published into the configured metrics registry along with the
+  /// cgraph_service_* series.
   obs::RunTelemetry telemetry;
 
   /// Exact end-to-end latency percentile over answered queries (completed

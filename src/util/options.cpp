@@ -4,8 +4,8 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <cstdio>
 #include <cstring>
-#include <stdexcept>
 
 namespace cgraph {
 
@@ -56,8 +56,7 @@ T parse_whole(const std::string& key, const std::string& text, Parse parse) {
   if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
       end != text.c_str() + text.size() || errno == ERANGE ||
       !std::isfinite(static_cast<double>(value))) {
-    throw std::invalid_argument("--" + key + " wants a number, got '" +
-                                text + "'");
+    throw FlagError("--" + key + " wants a number, got '" + text + "'");
   }
   return value;
 }
@@ -85,6 +84,56 @@ bool Options::get_bool(const std::string& key, bool def) const {
   const auto it = kv_.find(key);
   if (it == kv_.end()) return def;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+bool Flags::has(const std::string& name) {
+  known_.insert(name);
+  return opts_.has(name);
+}
+
+std::string Flags::str(const std::string& name, const std::string& def) {
+  known_.insert(name);
+  return opts_.get(name, def);
+}
+
+std::string Flags::required(const std::string& name) {
+  std::string value = str(name);
+  if (value.empty()) throw FlagError("missing --" + name);
+  return value;
+}
+
+std::int64_t Flags::num(const std::string& name, std::int64_t def,
+                        std::int64_t lo, std::int64_t hi) {
+  known_.insert(name);
+  const std::int64_t v = opts_.get_int(name, def);
+  if (v < lo || v > hi) {
+    throw FlagError("--" + name + " " + std::to_string(v) +
+                    " is out of range [" + std::to_string(lo) + ", " +
+                    std::to_string(hi) + "]");
+  }
+  return v;
+}
+
+double Flags::real(const std::string& name, double def, double lo, double hi,
+                   bool positive) {
+  known_.insert(name);
+  const double v = opts_.get_double(name, def);
+  if (!(v >= lo && v <= hi) || (positive && v <= 0)) {
+    char msg[160];
+    std::snprintf(msg, sizeof(msg), "--%s %g is out of range %s%g, %g]",
+                  name.c_str(), v, positive ? "(" : "[", lo, hi);
+    throw FlagError(msg);
+  }
+  return v;
+}
+
+void Flags::done() const {
+  for (const std::string& key : opts_.keys()) {
+    if (known_.count(key) == 0) throw FlagError("unknown flag --" + key);
+  }
+  if (!opts_.positional().empty()) {
+    throw FlagError("unexpected argument '" + opts_.positional()[0] + "'");
+  }
 }
 
 }  // namespace cgraph

@@ -2,7 +2,7 @@
 # End-to-end test of the cgraph_tool command line: every subcommand runs
 # to exit 0 on a tiny graph, and every bad flag exits 2 with a one-line
 # reason that names the flag — never an abort (134), an OOM kill (137) or
-# a hang. A figure harness rejects an unknown flag the same way.
+# a hang. A figure harness rejects a bad flag the same way.
 #
 # Usage: tests/test_cli.sh path/to/cgraph_tool path/to/fig12_querycount
 set -u
@@ -98,10 +98,14 @@ rejected --in pagerank --iterations 3
 rejected --model gen --out x.bin --model lattice
 [ ! -e big.bin ] && [ ! -e x.bin ] || fail "a rejected gen wrote a file"
 
-# A figure harness given a flag it does not read exits 2 instead of
-# running the whole figure with defaults.
+# A figure harness given a flag it does not read, or a value that is not a
+# number or out of range, exits 2 before it builds a graph instead of
+# running the whole figure with defaults or aborting.
 BIN="$HARNESS"
 rejected --bogus --dataset nope --bogus 1
+rejected --queries --open-loop --queries ten
+rejected --queries --queries ten
+rejected --linger --linger -1
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures command-line check(s) failed"

@@ -162,6 +162,20 @@ TEST(Scheduler, MemoryPressureSlowsSimTime) {
                                            queries, tight);
   EXPECT_GT(slow.total_sim_seconds, fast.total_sim_seconds * 2);
   EXPECT_EQ(fast.queries[0].visited, slow.queries[0].visited);
+
+  // The memory model stretches sim time only: host wall stays the measured
+  // batch walls, and a query's wall lies inside its own batch's window.
+  std::vector<double> wall_before{0.0};
+  for (const auto& bt : slow.telemetry.batches) {
+    wall_before.push_back(wall_before.back() + bt.execute_wall_seconds);
+  }
+  EXPECT_EQ(slow.total_wall_seconds, wall_before.back());
+  ASSERT_EQ(slow.telemetry.queries.size(), queries.size());
+  for (const auto& qt : slow.telemetry.queries) {
+    const double wall = slow.queries[qt.id].wall_seconds;
+    EXPECT_GE(wall, wall_before[qt.batch_index]) << "query " << qt.id;
+    EXPECT_LE(wall, wall_before[qt.batch_index + 1]) << "query " << qt.id;
+  }
 }
 
 TEST(Scheduler, PeakMemoryGrowsWithQueryCount) {

@@ -1,7 +1,9 @@
 // Acceptance suite for the online query service (DESIGN.md §10): open-loop
 // arrivals x {clean, chaos, crash} x thread counts, asserting
-//   * the admitted set is answered bit-exactly vs the offline scheduler
-//     (same admitted batch => same visited/levels),
+//   * the admitted set is answered bit-exactly vs a replay of each batch
+//     through the engine (same admitted batch => same visited/levels),
+//   * the closed world (run_concurrent_queries) is the service on a t=0
+//     stream: same answers, sim times and batch traces,
 //   * the counter identities submitted = admitted + shed and
 //     admitted = completed + expired hold in every configuration,
 //   * pipelined and serial execution produce identical outcomes,
@@ -51,12 +53,12 @@ FaultPlan make_chaos_plan(std::uint64_t seed) {
   return plan;
 }
 
-/// Bit-exactness vs the offline scheduler: every executed batch, replayed
-/// in execution order through run_concurrent_queries on a fresh fault-free
+/// Bit-exactness vs the engine: every executed batch, replayed in
+/// execution order through run_distributed_msbfs on a fresh fault-free
 /// cluster, must report the same visited/levels the service recorded.
-void expect_batches_match_offline(const World& w, PartitionId machines,
-                                  std::span<const TimedQuery> arrivals,
-                                  const ServiceRunResult& run) {
+void expect_batches_match_replay(const World& w, PartitionId machines,
+                                 std::span<const TimedQuery> arrivals,
+                                 const ServiceRunResult& run) {
   for (const ServiceBatchRecord& batch : run.batches) {
     if (batch.executed.empty()) continue;
     std::vector<KHopQuery> replay;
@@ -64,17 +66,15 @@ void expect_batches_match_offline(const World& w, PartitionId machines,
     for (QueryId id : batch.executed) {
       replay.push_back(arrivals[id].query);
     }
-    Cluster offline(machines);
-    SchedulerOptions opts;
-    opts.batch_width = std::max<std::size_t>(replay.size(), 1);
-    const auto ref = run_concurrent_queries(offline, w.shards, w.partition,
-                                            replay, opts);
+    Cluster fresh(machines);
+    const MsBfsBatchResult ref =
+        run_distributed_msbfs(fresh, w.shards, w.partition, replay);
     for (std::size_t i = 0; i < replay.size(); ++i) {
       const ServiceQueryRecord& rec = run.queries[replay[i].id];
       EXPECT_EQ(rec.outcome, ServiceOutcome::kCompleted);
-      EXPECT_EQ(rec.visited, ref.queries[i].visited)
+      EXPECT_EQ(rec.visited, ref.visited[i])
           << "batch " << batch.index << " query " << replay[i].id;
-      EXPECT_EQ(rec.levels, ref.queries[i].levels)
+      EXPECT_EQ(rec.levels, ref.levels[i])
           << "batch " << batch.index << " query " << replay[i].id;
     }
   }
@@ -82,7 +82,7 @@ void expect_batches_match_offline(const World& w, PartitionId machines,
 
 // The acceptance sweep: Poisson arrivals x {clean, chaos, crash} x {1, 4}
 // compute threads. Every configuration must answer every admitted query
-// exactly (vs the serial reference AND the offline scheduler per batch)
+// exactly (vs the serial reference AND an engine replay per batch)
 // and keep the counter identities.
 TEST(Service, AcceptanceSweepCleanChaosCrash) {
   const PartitionId machines = 3;
@@ -140,7 +140,7 @@ TEST(Service, AcceptanceSweepCleanChaosCrash) {
         EXPECT_GE(rec.queue_wait_sim_seconds, 0.0);
         EXPECT_GE(rec.response_sim_seconds, rec.execute_sim_seconds);
       }
-      expect_batches_match_offline(w, machines, arrivals, run);
+      expect_batches_match_replay(w, machines, arrivals, run);
     }
   }
 }
@@ -262,7 +262,7 @@ TEST(Service, BoundedQueueShedsBurst) {
                                  arrivals[rec.id].query.k));
     }
   }
-  expect_batches_match_offline(w, machines, arrivals, run);
+  expect_batches_match_replay(w, machines, arrivals, run);
 }
 
 // The queue-depth gauges track the admission loop live: high_water must
@@ -366,8 +366,10 @@ TEST(Service, LingerSealsPartialBatches) {
   EXPECT_EQ(run.stats.completed, 4u);
 }
 
-// Width sealing: a full window seals immediately regardless of linger; a
-// non-positive linger degenerates to one batch per arrival.
+// Width sealing: a full window seals immediately regardless of linger.
+// Zero linger seals at the oldest arrival once every arrival stamped at or
+// before it is admitted: simultaneous arrivals share one batch, distinct
+// stamps get one batch each.
 TEST(Service, WidthAndZeroLingerSealing) {
   const PartitionId machines = 1;
   World w(machines, /*scale=*/6);
@@ -395,17 +397,132 @@ TEST(Service, WidthAndZeroLingerSealing) {
     ServiceOptions opts;
     opts.scheduler.batch_width = 64;
     opts.scheduler.metrics = &registry;
-    opts.linger_seconds = 0;  // no batching across arrivals
+    opts.linger_seconds = 0;
     const auto run = run_query_service(cluster, w.shards, w.partition,
                                        arrivals, opts);
-    EXPECT_EQ(run.batches.size(), 6u);
+    ASSERT_EQ(run.batches.size(), 1u);
+    EXPECT_EQ(run.batches[0].admitted, 6u);
+    EXPECT_EQ(run.batches[0].seal_sim_seconds, 0.0);
+  }
+  {
+    const std::vector<double> distinct = {0.0, 0.001, 0.002, 0.003};
+    const auto spread = make_trace_arrivals(w.graph, distinct, /*k=*/2, 13);
+    Cluster cluster(machines);
+    obs::MetricsRegistry registry;
+    ServiceOptions opts;
+    opts.scheduler.batch_width = 64;
+    opts.scheduler.metrics = &registry;
+    opts.linger_seconds = 0;
+    const auto run = run_query_service(cluster, w.shards, w.partition,
+                                       spread, opts);
+    ASSERT_EQ(run.batches.size(), distinct.size());
+    for (std::size_t b = 0; b < distinct.size(); ++b) {
+      EXPECT_EQ(run.batches[b].admitted, 1u);
+      EXPECT_EQ(run.batches[b].seal_sim_seconds, distinct[b]);
+    }
+  }
+}
+
+// A negative linger has no seal time; like a zero batch_width it is a
+// precondition failure, not a per-arrival special case.
+TEST(ServiceDeathTest, NegativeLingerAborts) {
+  const PartitionId machines = 1;
+  World w(machines, /*scale=*/5);
+  const std::vector<double> stamps(2, 0.0);
+  const auto arrivals = make_trace_arrivals(w.graph, stamps, /*k=*/2, 13);
+  ServiceOptions opts;
+  opts.linger_seconds = -1e-3;
+  EXPECT_DEATH(
+      {
+        Cluster cluster(machines);
+        obs::MetricsRegistry registry;
+        opts.scheduler.metrics = &registry;
+        (void)run_query_service(cluster, w.shards, w.partition, arrivals,
+                                opts);
+      },
+      "linger_seconds must be >= 0");
+}
+
+// The closed world is the service on a t=0 stream with zero linger, no
+// queue bound and no deadline: for both policies and both engines, and a
+// query count that is not a multiple of the width, run_concurrent_queries
+// gives the same per-query answers and sim times as run_query_service on
+// that stream, and the same batch traces.
+TEST(Service, ClosedWorldEqualsServiceOnZeroStream) {
+  const PartitionId machines = 2;
+  World w(machines, /*scale=*/7, /*seed=*/57);
+  const auto queries = make_random_queries(w.graph, 37, 3, 41);
+  const auto degree_of = [&](VertexId v) { return w.graph.out_degree(v); };
+
+  for (const bool sorted : {false, true}) {
+    for (const bool bit_parallel : {true, false}) {
+      SCOPED_TRACE(std::string(sorted ? "degree-sorted" : "fifo") +
+                   (bit_parallel ? " bit-parallel" : " queue"));
+      obs::MetricsRegistry registry;
+      SchedulerOptions sched;
+      sched.batch_width = 8;
+      sched.use_bit_parallel = bit_parallel;
+      sched.metrics = &registry;
+      if (sorted) {
+        sched.policy = BatchPolicy::kDegreeSorted;
+        sched.degree_of = degree_of;
+      }
+      Cluster closed_cluster(machines);
+      const auto closed = run_concurrent_queries(
+          closed_cluster, w.shards, w.partition, queries, sched);
+
+      // The t=0 stream in the order the closed world cuts its batches.
+      std::vector<std::size_t> order(queries.size());
+      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+      if (sorted) {
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                           return degree_of(queries[a].source) >
+                                  degree_of(queries[b].source);
+                         });
+      }
+      std::vector<TimedQuery> stream;
+      for (std::size_t i : order) stream.push_back({queries[i], 0.0});
+      ServiceOptions opts;
+      opts.scheduler = sched;
+      opts.queue_cap = 0;
+      opts.linger_seconds = 0;
+      Cluster served_cluster(machines);
+      const auto served = run_query_service(served_cluster, w.shards,
+                                            w.partition, stream, opts);
+
+      ASSERT_EQ(closed.batches, 5u);
+      ASSERT_EQ(served.stats.batches, closed.batches);
+      EXPECT_EQ(served.stats.completed, queries.size());
+      for (std::size_t slot = 0; slot < stream.size(); ++slot) {
+        const ServiceQueryRecord& rec = served.queries[slot];
+        const QueryResult& qr = closed.queries[order[slot]];
+        EXPECT_EQ(qr.id, rec.id) << "slot " << slot;
+        EXPECT_EQ(qr.visited, rec.visited) << "slot " << slot;
+        EXPECT_EQ(qr.levels, rec.levels) << "slot " << slot;
+        EXPECT_EQ(qr.sim_seconds, rec.response_sim_seconds) << "slot " << slot;
+      }
+      EXPECT_EQ(closed.total_sim_seconds, served.makespan_sim_seconds);
+      ASSERT_EQ(closed.telemetry.batches.size(),
+                served.telemetry.batches.size());
+      for (std::size_t b = 0; b < closed.telemetry.batches.size(); ++b) {
+        const obs::BatchTrace& c = closed.telemetry.batches[b];
+        const obs::BatchTrace& s = served.telemetry.batches[b];
+        EXPECT_EQ(c.wait_sim_seconds, s.wait_sim_seconds) << "batch " << b;
+        EXPECT_EQ(c.execute_sim_seconds, s.execute_sim_seconds)
+            << "batch " << b;
+        EXPECT_EQ(c.policy, s.policy) << "batch " << b;
+      }
+      EXPECT_EQ(closed.telemetry.effective_policy,
+                sorted ? "degree-sorted" : "fifo");
+    }
   }
 }
 
 // Degree-sorted batching inside the service window: answers stay exact,
 // the effective policy is reported, and the batch replay still matches the
-// offline scheduler (which applies the same stable sort).
-TEST(Service, DegreeSortedWindowMatchesOffline) {
+// engine.
+TEST(Service, DegreeSortedWindowMatchesReplay) {
   const PartitionId machines = 2;
   World w(machines, /*scale=*/7, /*seed=*/131);
   PoissonArrivalParams ap;
@@ -441,7 +558,7 @@ TEST(Service, DegreeSortedWindowMatchesOffline) {
           w.graph.out_degree(arrivals[b.executed[i]].query.source));
     }
   }
-  expect_batches_match_offline(w, machines, arrivals, run);
+  expect_batches_match_replay(w, machines, arrivals, run);
 }
 
 TEST(Service, EmptyArrivalStream) {

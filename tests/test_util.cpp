@@ -278,6 +278,27 @@ TEST(Options, KeysListsEveryFlag) {
   EXPECT_EQ(o.keys(), (std::vector<std::string>{"a", "b", "c"}));
 }
 
+// Flags range-checks every value it reads and rejects any flag nobody
+// read; each rejection is a FlagError naming the flag.
+TEST(Flags, RangeChecksAndRejectsUnreadFlags) {
+  const char* argv[] = {"prog",          "--queries", "ten",   "--k=300",
+                        "--linger=-1",   "--typo=1"};
+  const Options o(6, const_cast<char**>(argv));
+  Flags f(o);
+  EXPECT_THROW((void)f.num("queries", 1), FlagError);
+  EXPECT_THROW((void)f.num("k", 3, 0, 255), FlagError);
+  EXPECT_THROW((void)f.real("linger", 0.01, 0.0, 1.0), FlagError);
+  EXPECT_EQ(f.num("machines", 4, 1, 64), 4);
+  try {
+    f.done();
+    FAIL() << "expected FlagError for --typo";
+  } catch (const FlagError& e) {
+    EXPECT_NE(std::string(e.what()).find("--typo"), std::string::npos);
+  }
+  EXPECT_EQ(f.str("typo"), "1");
+  EXPECT_NO_THROW(f.done());
+}
+
 TEST(Logging, LevelGatesOutput) {
   const LogLevel original = log_level();
   set_log_level(LogLevel::kError);
