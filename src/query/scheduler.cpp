@@ -150,11 +150,8 @@ ConcurrentRunResult run_concurrent_queries(
   std::vector<std::size_t> order(queries.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   if (effective_batch_policy(opts) == BatchPolicy::kDegreeSorted) {
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return opts.degree_of(queries[a].source) >
-                              opts.degree_of(queries[b].source);
-                     });
+    sort_by_root_degree(order.begin(), order.end(), opts.degree_of,
+                        [&](std::size_t i) { return queries[i].source; });
   }
   std::vector<TimedQuery> stream;
   stream.reserve(queries.size());

@@ -90,6 +90,20 @@ struct SchedulerOptions {
 /// silent.
 [[nodiscard]] BatchPolicy effective_batch_policy(const SchedulerOptions& opts);
 
+/// kDegreeSorted's ordering rule: heaviest root first, stable so
+/// equal-degree queries keep submission order. `source_of` maps an
+/// element to its query's root. The service applies it to each sealed
+/// window; run_concurrent_queries applies it to the whole workload first,
+/// which makes the service's pass the identity.
+template <typename It, typename SourceOf>
+void sort_by_root_degree(It first, It last,
+                         const std::function<EdgeIndex(VertexId)>& degree_of,
+                         SourceOf source_of) {
+  std::stable_sort(first, last, [&](const auto& a, const auto& b) {
+    return degree_of(source_of(a)) > degree_of(source_of(b));
+  });
+}
+
 /// Batch-execute core behind run_query_service and each replica of a
 /// ReplicaRouter. Executes one admitted batch on the cluster via the
 /// configured engine and carries the cross-batch memory-retention model

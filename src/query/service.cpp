@@ -240,14 +240,11 @@ class ServicePipeline {
       obs::trace(ev);
     }
     if (executor_.policy() == BatchPolicy::kDegreeSorted) {
-      // Degree-sorted within the admitted window; stable so equal-degree
-      // queries keep submission order.
-      const auto& degree_of = opts_.scheduler.degree_of;
-      std::stable_sort(sb.members.begin(), sb.members.end(),
-                       [&](const PendingQuery& a, const PendingQuery& b) {
-                         return degree_of(arrivals_[a.submission].query.source) >
-                                degree_of(arrivals_[b.submission].query.source);
-                       });
+      sort_by_root_degree(sb.members.begin(), sb.members.end(),
+                          opts_.scheduler.degree_of,
+                          [&](const PendingQuery& pq) {
+                            return arrivals_[pq.submission].query.source;
+                          });
     }
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -720,7 +717,8 @@ void publish_service_metrics(obs::MetricsRegistry& reg,
                              const ServiceRunResult& result) {
   const ServiceStats& s = result.stats;
   reg.counter("cgraph_service_submitted_total",
-              "Queries that arrived at the service front end")
+              "Queries that arrived at the service front end, including "
+              "closed-world run_concurrent_queries runs (all at t=0)")
       .inc(static_cast<double>(s.submitted));
   reg.counter("cgraph_service_admitted_total",
               "Queries admitted past the bounded queue")
@@ -738,7 +736,9 @@ void publish_service_metrics(obs::MetricsRegistry& reg,
               "Batches sealed by the adaptive batcher")
       .inc(static_cast<double>(s.batches));
   reg.gauge("cgraph_service_peak_queue_depth",
-            "Peak admitted-but-unstarted queries of the latest run")
+            "Peak admitted-but-unstarted queries of the latest run; a "
+            "closed-world run queues its whole workload at t=0, so this is "
+            "its submitted count less the first batch")
       .set(static_cast<double>(s.peak_queue_depth));
   if (s.failovers > 0 || s.failover_shed > 0) {
     reg.counter("cgraph_service_failover_shed_total",

@@ -182,7 +182,9 @@ struct Fixture {
 void check_run_telemetry(const ConcurrentRunResult& run,
                          const obs::MetricsRegistry& reg, std::size_t nqueries,
                          PartitionId machines) {
-  // Per-level edge counts across batches reconcile with the aggregate.
+  // The run's edge total is the sum of its per-level counts; each batch's
+  // per-level counts are checked against the engine's own total in
+  // LevelEdgesReconcileWithEngineTotal.
   EXPECT_EQ(run.telemetry.total_edges_scanned(), run.total_edges_scanned);
   EXPECT_EQ(run.telemetry.batches.size(), run.batches);
   ASSERT_EQ(run.telemetry.queries.size(), nqueries);
@@ -261,6 +263,38 @@ TEST(SchedulerTelemetry, QueueEngineReconcilesToo) {
   const auto run = run_concurrent_queries(f.cluster, f.shards, f.partition,
                                           queries, opts);
   check_run_telemetry(run, reg, queries.size(), 3);
+}
+
+// The engine counts a batch's scanned edges twice: per level (the trace)
+// and in one running total (MsBfsBatchResult::edges_scanned), and a crash
+// rollback resets the two separately. Both engines must agree with
+// themselves per batch, fault-free and after a crash replay.
+TEST(SchedulerTelemetry, LevelEdgesReconcileWithEngineTotal) {
+  for (const bool bit_parallel : {true, false}) {
+    for (const bool crash : {false, true}) {
+      SCOPED_TRACE(std::string(bit_parallel ? "bit-parallel" : "queue") +
+                   (crash ? " crash" : " fault-free"));
+      Fixture f(3);
+      if (crash) {
+        auto plan = std::make_shared<FaultPlan>(71);
+        plan->add_crash(1, 2);
+        f.cluster.fabric().install_fault_plan(plan);
+        f.cluster.set_recovery(RecoveryOptions{});
+      }
+      const auto queries = make_random_queries(f.graph, 24, 3, 17);
+      SchedulerOptions opts;
+      opts.batch_width = 24;
+      opts.use_bit_parallel = bit_parallel;
+      BatchExecutor executor(f.cluster, f.shards, f.partition, opts);
+      const BatchExecutor::Outcome out = executor.execute(queries);
+      std::uint64_t level_edges = 0;
+      for (const auto& lt : out.trace.levels) level_edges += lt.edges_scanned;
+      EXPECT_GT(out.result.edges_scanned, 0u);
+      EXPECT_EQ(level_edges, out.result.edges_scanned);
+      EXPECT_EQ(out.reexecuted, crash);  // the crash really fired
+      f.cluster.fabric().install_fault_plan(nullptr);
+    }
+  }
 }
 
 TEST(SchedulerTelemetry, FaultPlanCountersReconcileExactly) {
