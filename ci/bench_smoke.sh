@@ -63,7 +63,10 @@ grep -q "validate_bench: SKIP" "$MISSING_OUT" || {
   }
 echo "bench smoke: missing-arm skip check OK"
 
-cmake -B "$BUILD_DIR" -S "$SRC_DIR"
+# Release with -Werror: the optimizer-only warnings (-O3 flow analysis)
+# fail here rather than in a downstream Release build.
+cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DCMAKE_BUILD_TYPE=Release \
+  -DCGRAPH_WERROR=ON
 cmake --build "$BUILD_DIR" --target baseline_runner -j "$(nproc)"
 
 OUT_DIR="$BUILD_DIR/bench-baseline"

@@ -3,7 +3,7 @@
 //
 //   cgraph_tool gen      --out g.bin [--model rmat|uniform|ws] [--scale 16]
 //                        [--edge-factor 16] [--seed 1] [--n ...] [--m ...]
-//                        [--k-ring 8] [--beta 0.1] [--weights]
+//                        [--k-ring 8] [--beta 0.1]
 //   cgraph_tool convert  --in edges.txt --out g.bin      (text -> binary)
 //   cgraph_tool stats    --in g.bin [--machines 4] [--hop-samples 8]
 //   cgraph_tool query    --in g.bin --source 0 [--k 3] [--machines 4]
@@ -305,7 +305,6 @@ int cmd_gen(Flags& f) {
       f.num("m", 1048576, 0, std::int64_t{1} << 32));
   const auto k_ring = static_cast<unsigned>(f.num("k-ring", 8, 2, 1024));
   const double beta = f.real("beta", 0.1, 0.0, 1.0);
-  const bool weights = f.has("weights");
   if (model != "rmat" && model != "uniform" && model != "ws") {
     throw FlagError("bad --model '" + model + "' (want rmat|uniform|ws)");
   }
@@ -323,7 +322,6 @@ int cmd_gen(Flags& f) {
   } else {
     edges = generate_watts_strogatz(n, k_ring, beta, seed);
   }
-  if (weights) assign_random_weights(edges, 0.5f, 5.0f, seed + 1);
   save_edge_list_binary(out, edges, n);
   std::printf("wrote %s: %llu vertices, %zu edges (%s)\n", out.c_str(),
               static_cast<unsigned long long>(n), edges.size(),

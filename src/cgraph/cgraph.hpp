@@ -10,7 +10,6 @@
 //   auto run = run_concurrent_queries(cluster, shards, part, queries);
 #pragma once
 
-#include "algo/constrained_reach.hpp"
 #include "baseline/geminilike.hpp"
 #include "baseline/kvstore.hpp"
 #include "baseline/titanlike.hpp"

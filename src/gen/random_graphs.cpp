@@ -45,13 +45,4 @@ EdgeList generate_watts_strogatz(VertexId n, unsigned k, double beta,
   return edges;
 }
 
-void assign_random_weights(EdgeList& edges, float lo, float hi,
-                           std::uint64_t seed) {
-  CGRAPH_CHECK(hi > lo);
-  Xoshiro256 rng(seed);
-  for (Edge& e : edges.edges()) {
-    e.weight = lo + static_cast<float>(rng.next_double()) * (hi - lo);
-  }
-}
-
 }  // namespace cgraph

@@ -18,9 +18,4 @@ EdgeList generate_uniform(VertexId n, EdgeIndex m, std::uint64_t seed = 1);
 EdgeList generate_watts_strogatz(VertexId n, unsigned k, double beta,
                                  std::uint64_t seed = 1);
 
-/// Random weights in [lo, hi) assigned to every edge in place (for the SDN
-/// latency-constrained example).
-void assign_random_weights(EdgeList& edges, float lo, float hi,
-                           std::uint64_t seed = 1);
-
 }  // namespace cgraph

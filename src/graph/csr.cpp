@@ -7,8 +7,7 @@ namespace cgraph {
 // Counting-sort construction: one pass to count degrees, one to place.
 // O(V + E), no comparison sort of the full edge array required.
 Csr Csr::build(VertexId num_rows, VertexId num_cols,
-               std::span<const Edge> edges, bool with_weights,
-               bool reversed) {
+               std::span<const Edge> edges, bool reversed) {
   struct Access {
     bool rev;
     VertexId src(const Edge& e) const { return rev ? e.dst : e.src; }
@@ -24,61 +23,38 @@ Csr Csr::build(VertexId num_rows, VertexId num_cols,
   for (std::size_t v = 0; v < num_rows; ++v) offsets[v + 1] += offsets[v];
 
   std::vector<VertexId> targets(edges.size());
-  std::vector<Weight> weights;
-  if (with_weights) weights.resize(edges.size());
 
   std::vector<EdgeIndex> cursor(offsets.begin(), offsets.end() - 1);
   for (const Edge& e : edges) {
     const EdgeIndex pos = cursor[ax.src(e)]++;
     targets[pos] = ax.dst(e);
-    if (with_weights) weights[pos] = e.weight;
   }
 
   // Sort each row so neighbors() is ordered and has_edge() can bisect.
   for (VertexId v = 0; v < num_rows; ++v) {
     const auto b = static_cast<std::ptrdiff_t>(offsets[v]);
     const auto e = static_cast<std::ptrdiff_t>(offsets[v + 1]);
-    if (with_weights) {
-      // Keep weights parallel: sort an index permutation of the row.
-      const auto len = static_cast<std::size_t>(e - b);
-      if (len > 1) {
-        std::vector<std::pair<VertexId, Weight>> row(len);
-        for (std::size_t i = 0; i < len; ++i)
-          row[i] = {targets[b + static_cast<std::ptrdiff_t>(i)],
-                    weights[b + static_cast<std::ptrdiff_t>(i)]};
-        std::sort(row.begin(), row.end());
-        for (std::size_t i = 0; i < len; ++i) {
-          targets[b + static_cast<std::ptrdiff_t>(i)] = row[i].first;
-          weights[b + static_cast<std::ptrdiff_t>(i)] = row[i].second;
-        }
-      }
-    } else {
-      std::sort(targets.begin() + b, targets.begin() + e);
-    }
+    std::sort(targets.begin() + b, targets.begin() + e);
   }
 
   Csr csr;
   csr.offsets_ = std::move(offsets);
   csr.targets_ = std::move(targets);
-  csr.weights_ = std::move(weights);
   return csr;
 }
 
-Csr Csr::from_edges(VertexId num_vertices, std::span<const Edge> edges,
-                    bool with_weights) {
-  return build(num_vertices, num_vertices, edges, with_weights,
-               /*reversed=*/false);
+Csr Csr::from_edges(VertexId num_vertices, std::span<const Edge> edges) {
+  return build(num_vertices, num_vertices, edges, /*reversed=*/false);
 }
 
 Csr Csr::from_edges_reversed(VertexId num_vertices,
-                             std::span<const Edge> edges, bool with_weights) {
-  return build(num_vertices, num_vertices, edges, with_weights,
-               /*reversed=*/true);
+                             std::span<const Edge> edges) {
+  return build(num_vertices, num_vertices, edges, /*reversed=*/true);
 }
 
 Csr Csr::from_edges_rect(VertexId num_rows, VertexId num_cols,
-                         std::span<const Edge> edges, bool with_weights) {
-  return build(num_rows, num_cols, edges, with_weights, /*reversed=*/false);
+                         std::span<const Edge> edges) {
+  return build(num_rows, num_cols, edges, /*reversed=*/false);
 }
 
 bool Csr::has_edge(VertexId v, VertexId t) const {

@@ -17,23 +17,18 @@ class Csr {
  public:
   Csr() = default;
 
-  /// Build from edges over the id space [0, num_vertices). If
-  /// `with_weights` is false the weight array is left empty and
-  /// weights() must not be called.
-  static Csr from_edges(VertexId num_vertices, std::span<const Edge> edges,
-                        bool with_weights = false);
+  /// Build from edges over the id space [0, num_vertices).
+  static Csr from_edges(VertexId num_vertices, std::span<const Edge> edges);
 
   /// Build from edges with src/dst swapped (a CSC of the input).
   static Csr from_edges_reversed(VertexId num_vertices,
-                                 std::span<const Edge> edges,
-                                 bool with_weights = false);
+                                 std::span<const Edge> edges);
 
   /// Rectangular adjacency: rows in [0, num_rows), targets in
   /// [0, num_cols). Used for shard-local CSCs whose rows are local vertex
   /// indices but whose targets are global parent ids.
   static Csr from_edges_rect(VertexId num_rows, VertexId num_cols,
-                             std::span<const Edge> edges,
-                             bool with_weights = false);
+                             std::span<const Edge> edges);
 
   [[nodiscard]] VertexId num_vertices() const {
     return offsets_.empty() ? 0 : static_cast<VertexId>(offsets_.size() - 1);
@@ -41,7 +36,6 @@ class Csr {
   [[nodiscard]] EdgeIndex num_edges() const {
     return offsets_.empty() ? 0 : offsets_.back();
   }
-  [[nodiscard]] bool has_weights() const { return !weights_.empty(); }
 
   [[nodiscard]] EdgeIndex degree(VertexId v) const {
     CGRAPH_DCHECK(v < num_vertices());
@@ -52,14 +46,6 @@ class Csr {
   [[nodiscard]] std::span<const VertexId> neighbors(VertexId v) const {
     CGRAPH_DCHECK(v < num_vertices());
     return {targets_.data() + offsets_[v],
-            static_cast<std::size_t>(offsets_[v + 1] - offsets_[v])};
-  }
-
-  /// Edge weights of v, parallel to neighbors(v). Requires has_weights().
-  [[nodiscard]] std::span<const Weight> weights(VertexId v) const {
-    CGRAPH_DCHECK(has_weights());
-    CGRAPH_DCHECK(v < num_vertices());
-    return {weights_.data() + offsets_[v],
             static_cast<std::size_t>(offsets_[v + 1] - offsets_[v])};
   }
 
@@ -76,18 +62,15 @@ class Csr {
   /// Approximate resident bytes, for the memory-footprint experiments.
   [[nodiscard]] std::size_t memory_bytes() const {
     return offsets_.size() * sizeof(EdgeIndex) +
-           targets_.size() * sizeof(VertexId) +
-           weights_.size() * sizeof(Weight);
+           targets_.size() * sizeof(VertexId);
   }
 
  private:
   static Csr build(VertexId num_rows, VertexId num_cols,
-                   std::span<const Edge> edges, bool with_weights,
-                   bool reversed);
+                   std::span<const Edge> edges, bool reversed);
 
   std::vector<EdgeIndex> offsets_;  // size V+1
   std::vector<VertexId> targets_;   // size E, sorted within each row
-  std::vector<Weight> weights_;     // size E or 0
 };
 
 }  // namespace cgraph

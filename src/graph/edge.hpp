@@ -9,11 +9,8 @@ namespace cgraph {
 struct Edge {
   VertexId src = 0;
   VertexId dst = 0;
-  Weight weight = 1.0f;
 
-  friend constexpr bool operator==(const Edge& a, const Edge& b) {
-    return a.src == b.src && a.dst == b.dst;  // weight excluded: dedup key
-  }
+  friend constexpr bool operator==(const Edge&, const Edge&) = default;
 };
 
 /// Source-major, destination-minor ordering used before CSR construction.

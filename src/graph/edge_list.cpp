@@ -14,9 +14,7 @@ VertexId EdgeList::max_vertex_plus_one() const {
 }
 
 void EdgeList::sort_and_dedup() {
-  // stable_sort so the first-seen weight survives dedup for duplicate
-  // (src, dst) pairs.
-  std::stable_sort(edges_.begin(), edges_.end(), EdgeLess{});
+  std::sort(edges_.begin(), edges_.end(), EdgeLess{});
   edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
 }
 
@@ -31,7 +29,7 @@ void EdgeList::add_reverse_edges() {
   edges_.reserve(n * 2);
   for (std::size_t i = 0; i < n; ++i) {
     const Edge& e = edges_[i];
-    if (e.src != e.dst) edges_.push_back({e.dst, e.src, e.weight});
+    if (e.src != e.dst) edges_.push_back({e.dst, e.src});
   }
 }
 

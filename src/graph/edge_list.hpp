@@ -16,9 +16,7 @@ class EdgeList {
   explicit EdgeList(std::vector<Edge> edges) : edges_(std::move(edges)) {}
 
   void reserve(std::size_t n) { edges_.reserve(n); }
-  void add(VertexId src, VertexId dst, Weight w = 1.0f) {
-    edges_.push_back({src, dst, w});
-  }
+  void add(VertexId src, VertexId dst) { edges_.push_back({src, dst}); }
   void add(const Edge& e) { edges_.push_back(e); }
 
   [[nodiscard]] std::size_t size() const { return edges_.size(); }
@@ -38,8 +36,7 @@ class EdgeList {
   /// Largest vertex id referenced plus one (0 for an empty list).
   [[nodiscard]] VertexId max_vertex_plus_one() const;
 
-  /// Sort by (src, dst) and drop duplicate (src, dst) pairs, keeping the
-  /// first weight seen.
+  /// Sort by (src, dst) and drop duplicate (src, dst) pairs.
   void sort_and_dedup();
 
   /// Remove self-loop edges (src == dst).

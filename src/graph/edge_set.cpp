@@ -129,36 +129,19 @@ EdgeSetGrid EdgeSetGrid::build(VertexRange src_range,
       for (std::size_t v = 0; v < row_range.size(); ++v)
         es.offsets_[v + 1] += es.offsets_[v];
       es.dsts_.resize(run_edges);
-      if (opts.with_weights) es.weights_.resize(run_edges);
       std::vector<EdgeIndex> cursor(es.offsets_.begin(),
                                     es.offsets_.end() - 1);
       for (std::size_t cc = c; cc < run_end; ++cc) {
         for (const Edge& e : cells[r * num_stripes + cc]) {
           const EdgeIndex pos = cursor[e.src - row_range.begin]++;
           es.dsts_[pos] = e.dst;
-          if (opts.with_weights) es.weights_[pos] = e.weight;
         }
       }
       // Sort each source's slice by destination for deterministic scans.
       for (std::size_t v = 0; v < row_range.size(); ++v) {
         const auto b = static_cast<std::ptrdiff_t>(es.offsets_[v]);
         const auto e2 = static_cast<std::ptrdiff_t>(es.offsets_[v + 1]);
-        if (opts.with_weights) {
-          const auto len = static_cast<std::size_t>(e2 - b);
-          if (len > 1) {
-            std::vector<std::pair<VertexId, Weight>> row(len);
-            for (std::size_t i = 0; i < len; ++i)
-              row[i] = {es.dsts_[b + static_cast<std::ptrdiff_t>(i)],
-                        es.weights_[b + static_cast<std::ptrdiff_t>(i)]};
-            std::sort(row.begin(), row.end());
-            for (std::size_t i = 0; i < len; ++i) {
-              es.dsts_[b + static_cast<std::ptrdiff_t>(i)] = row[i].first;
-              es.weights_[b + static_cast<std::ptrdiff_t>(i)] = row[i].second;
-            }
-          }
-        } else {
-          std::sort(es.dsts_.begin() + b, es.dsts_.begin() + e2);
-        }
+        std::sort(es.dsts_.begin() + b, es.dsts_.begin() + e2);
       }
       grid.sets_.push_back(std::move(es));
       c = run_end;

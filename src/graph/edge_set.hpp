@@ -45,18 +45,9 @@ class EdgeSet {
             static_cast<std::size_t>(offsets_[r + 1] - offsets_[r])};
   }
 
-  [[nodiscard]] std::span<const Weight> weights_of(VertexId s) const {
-    CGRAPH_DCHECK(!weights_.empty());
-    const VertexId r = s - src_range_.begin;
-    return {weights_.data() + offsets_[r],
-            static_cast<std::size_t>(offsets_[r + 1] - offsets_[r])};
-  }
-
-  [[nodiscard]] bool has_weights() const { return !weights_.empty(); }
-
   [[nodiscard]] std::size_t memory_bytes() const {
     return offsets_.size() * sizeof(EdgeIndex) +
-           dsts_.size() * sizeof(VertexId) + weights_.size() * sizeof(Weight);
+           dsts_.size() * sizeof(VertexId);
   }
 
  private:
@@ -65,7 +56,6 @@ class EdgeSet {
   VertexRange dst_range_;
   std::vector<EdgeIndex> offsets_;  // size src_range.size()+1
   std::vector<VertexId> dsts_;      // global destination ids
-  std::vector<Weight> weights_;     // optional, parallel to dsts_
 };
 
 /// The full tiled representation of one partition's out- (or reversed
@@ -78,7 +68,6 @@ struct EdgeSetOptions {
   /// neighbor during consolidation.
   EdgeIndex min_edges_per_set = 256;
   bool consolidate = true;
-  bool with_weights = false;
 };
 
 class EdgeSetGrid {
@@ -137,21 +126,6 @@ class EdgeSetGrid {
     const std::size_t r = row_of(s);
     for (const EdgeSet& es : row_sets(r)) {
       for (VertexId t : es.neighbors(s)) fn(t);
-    }
-  }
-
-  /// Weighted scan: fn(dst, weight). Unweighted grids report weight 1.
-  template <typename Fn>
-  void for_each_edge(VertexId s, Fn&& fn) const {
-    const std::size_t r = row_of(s);
-    for (const EdgeSet& es : row_sets(r)) {
-      const auto nbrs = es.neighbors(s);
-      if (es.has_weights()) {
-        const auto ws = es.weights_of(s);
-        for (std::size_t i = 0; i < nbrs.size(); ++i) fn(nbrs[i], ws[i]);
-      } else {
-        for (VertexId t : nbrs) fn(t, Weight{1});
-      }
     }
   }
 

@@ -19,10 +19,9 @@ Graph Graph::build(EdgeList edges, VertexId num_vertices,
 
   Graph g;
   g.num_vertices_ = num_vertices;
-  g.out_ = Csr::from_edges(num_vertices, edges.edges(), opts.with_weights);
+  g.out_ = Csr::from_edges(num_vertices, edges.edges());
   if (opts.build_in_edges) {
-    g.in_ = Csr::from_edges_reversed(num_vertices, edges.edges(),
-                                     opts.with_weights);
+    g.in_ = Csr::from_edges_reversed(num_vertices, edges.edges());
   }
   return g;
 }

@@ -16,7 +16,6 @@
 namespace cgraph {
 
 struct GraphBuildOptions {
-  bool with_weights = false;     // retain per-edge weights
   bool build_in_edges = true;    // also build the CSC (needed by GAS apps)
   bool symmetrize = false;       // treat input as undirected
   bool remove_self_loops = true;
@@ -36,7 +35,6 @@ class Graph {
   [[nodiscard]] VertexId num_vertices() const { return num_vertices_; }
   [[nodiscard]] EdgeIndex num_edges() const { return out_.num_edges(); }
   [[nodiscard]] bool has_in_edges() const { return in_.num_vertices() > 0; }
-  [[nodiscard]] bool has_weights() const { return out_.has_weights(); }
 
   [[nodiscard]] const Csr& out_csr() const { return out_; }
   [[nodiscard]] const Csr& in_csr() const { return in_; }

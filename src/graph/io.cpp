@@ -13,7 +13,11 @@
 namespace cgraph {
 namespace {
 
-constexpr char kBinaryMagic[8] = {'C', 'G', 'R', 'A', 'P', 'H', '0', '1'};
+// The last two bytes are the format version; bump them whenever the record
+// layout changes, so an old file fails the magic check instead of being
+// misread (see io.hpp).
+constexpr char kBinaryMagic[8] = {'C', 'G', 'R', 'A', 'P', 'H', '0', '2'};
+static_assert(sizeof(Edge) == 8, "binary format stores packed 8-byte edges");
 
 LoadResult parse_stream(std::istream& in, bool reindex) {
   LoadResult result;
@@ -42,7 +46,6 @@ LoadResult parse_stream(std::istream& in, bool reindex) {
     ++lineno;
     if (line.empty() || line[0] == '#' || line[0] == '%') continue;
     std::uint64_t s = 0, t = 0;
-    double w = 1.0;
     std::istringstream ls(line);
     std::string ts, tt;
     if (!(ls >> ts >> tt)) continue;  // tolerate malformed lines
@@ -56,12 +59,11 @@ LoadResult parse_stream(std::istream& in, bool reindex) {
       std::istringstream is(ts), it(tt);
       if (!(is >> s) || !(it >> t)) continue;  // non-numeric: tolerated
     }
-    ls >> w;  // optional weight
     // Intern in source-then-destination order (function argument
     // evaluation order is unspecified).
     const VertexId src = intern(s);
     const VertexId dst = intern(t);
-    result.edges.add(src, dst, static_cast<Weight>(w));
+    result.edges.add(src, dst);
   }
   return result;
 }
@@ -82,19 +84,8 @@ LoadResult parse_edge_list(const std::string& text, bool reindex) {
 void save_edge_list_text(const std::string& path, const EdgeList& edges) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot write: " + path);
-  bool uniform_weights = true;
-  for (const Edge& e : edges) {
-    if (e.weight != 1.0f) {
-      uniform_weights = false;
-      break;
-    }
-  }
   out << "# cgraph edge list, " << edges.size() << " edges\n";
-  for (const Edge& e : edges) {
-    out << e.src << ' ' << e.dst;
-    if (!uniform_weights) out << ' ' << e.weight;
-    out << '\n';
-  }
+  for (const Edge& e : edges) out << e.src << ' ' << e.dst << '\n';
   if (!out) throw std::runtime_error("short write: " + path);
 }
 

@@ -1,8 +1,11 @@
 // Graph ingestion and persistence.
 //
-// Text format: one edge per line, "src dst [weight]", '#' comments allowed
-// (SNAP edge-list compatible). Binary format: a small header followed by a
-// packed Edge array — the fast path for benchmark re-runs.
+// Text format: one edge per line, "src dst", '#' comments allowed (SNAP
+// edge-list compatible; columns after "src dst", such as a weight, are
+// ignored). Binary format: the magic "CGRAPH02", u64 vertex count, u64
+// edge count, then a packed array of 8-byte (src, dst) Edge records — the
+// fast path for benchmark re-runs. Files with the older "CGRAPH01" magic
+// (12-byte weighted records) are rejected.
 //
 // Loading re-indexes vertex ids densely in order of first appearance
 // (paper §3.1: "vertex ID ... is re-indexed during graph ingestion").
@@ -29,8 +32,7 @@ LoadResult load_edge_list_text(const std::string& path, bool reindex = true);
 /// Parse edges from an in-memory string (testing convenience).
 LoadResult parse_edge_list(const std::string& text, bool reindex = true);
 
-/// Save as SNAP-style text ("src dst weight" lines; weight omitted when
-/// it is uniformly 1.0).
+/// Save as SNAP-style text ("src dst" lines).
 void save_edge_list_text(const std::string& path, const EdgeList& edges);
 
 /// Save/load the compact binary format. Binary files round-trip exactly.

@@ -25,23 +25,14 @@ SubgraphShard SubgraphShard::build(const Graph& graph,
     count += graph.out_degree(v);
   out_edges.reserve(count);
   shard.out_degree_.resize(range.size());
-  const bool weighted = graph.has_weights();
   for (VertexId v = range.begin; v < range.end; ++v) {
     const auto nbrs = graph.out_neighbors(v);
     shard.out_degree_[v - range.begin] = nbrs.size();
-    if (weighted) {
-      const auto ws = graph.out_csr().weights(v);
-      for (std::size_t i = 0; i < nbrs.size(); ++i)
-        out_edges.push_back({v, nbrs[i], ws[i]});
-    } else {
-      for (VertexId t : nbrs) out_edges.push_back({v, t, 1.0f});
-    }
+    for (VertexId t : nbrs) out_edges.push_back({v, t});
   }
 
-  EdgeSetGrid::Options eso = opts.edge_set;
-  eso.with_weights = weighted;
-  shard.out_sets_ =
-      EdgeSetGrid::build(range, graph.num_vertices(), out_edges, eso);
+  shard.out_sets_ = EdgeSetGrid::build(range, graph.num_vertices(),
+                                       out_edges, opts.edge_set);
 
   // Boundary vertices: remote destinations, deduped.
   std::vector<VertexId> boundary;
@@ -64,11 +55,11 @@ SubgraphShard SubgraphShard::build(const Graph& graph,
     for (VertexId v = range.begin; v < range.end; ++v) {
       for (VertexId p : graph.in_neighbors(v)) {
         // src = local index of v, dst = global parent id.
-        in_edges.push_back({v - range.begin, p, 1.0f});
+        in_edges.push_back({v - range.begin, p});
       }
     }
     shard.in_csr_ = Csr::from_edges_rect(range.size(), graph.num_vertices(),
-                                         in_edges, /*with_weights=*/false);
+                                         in_edges);
 
     if (opts.build_in_edge_sets) {
       // Grid rows use global local-vertex ids (like out_sets_), so remap
@@ -76,12 +67,10 @@ SubgraphShard SubgraphShard::build(const Graph& graph,
       std::vector<Edge> in_global;
       in_global.reserve(in_edges.size());
       for (const Edge& e : in_edges) {
-        in_global.push_back({e.src + range.begin, e.dst, 1.0f});
+        in_global.push_back({e.src + range.begin, e.dst});
       }
-      EdgeSetGrid::Options in_eso = opts.edge_set;
-      in_eso.with_weights = false;
       shard.in_sets_ = EdgeSetGrid::build(range, graph.num_vertices(),
-                                          in_global, in_eso);
+                                          in_global, opts.edge_set);
     }
   }
   return shard;
@@ -129,30 +118,25 @@ void SubgraphShard::compact() {
   if (!has_mutations()) return;
   const VertexRange range = local_range_;
 
-  // Rebuild the out side: base edges minus tombstones (weights carried
-  // over), plus delta extras at weight 1.
+  // Rebuild the out side: base edges minus tombstones, plus delta extras.
   std::vector<Edge> out_edges;
   out_edges.reserve(static_cast<std::size_t>(out_sets_.num_edges()) +
                     delta_out_.num_events());
   std::vector<EdgeIndex> degrees(range.size(), 0);
-  bool weighted = false;
   for (VertexId v = range.begin; v < range.end; ++v) {
     const std::size_t before = out_edges.size();
     const bool deletes = delta_out_.has_deletes(v);
-    out_sets_.for_each_edge(v, [&](VertexId t, Weight w) {
+    out_sets_.for_each_neighbor(v, [&](VertexId t) {
       if (deletes && delta_out_.edge_deleted(v, t, epoch_)) return;
-      out_edges.push_back({v, t, w});
-      weighted = weighted || w != Weight{1};
+      out_edges.push_back({v, t});
     });
     delta_out_.for_each_extra(
-        v, epoch_, [&](VertexId t) { out_edges.push_back({v, t, 1.0f}); });
+        v, epoch_, [&](VertexId t) { out_edges.push_back({v, t}); });
     degrees[v - range.begin] =
         static_cast<EdgeIndex>(out_edges.size() - before);
   }
-  EdgeSetGrid::Options eso = edge_set_opts_;
-  eso.with_weights = weighted;
-  out_sets_ =
-      EdgeSetGrid::build(range, num_global_vertices_, out_edges, eso);
+  out_sets_ = EdgeSetGrid::build(range, num_global_vertices_, out_edges,
+                                 edge_set_opts_);
   out_degree_ = std::move(degrees);
 
   std::vector<VertexId> boundary;
@@ -169,21 +153,19 @@ void SubgraphShard::compact() {
     std::vector<Edge> in_edges;
     for (VertexId v = range.begin; v < range.end; ++v) {
       for_each_in_parent_at(v, epoch_, [&](VertexId p) {
-        in_edges.push_back({v - range.begin, p, 1.0f});
+        in_edges.push_back({v - range.begin, p});
       });
     }
     in_csr_ = Csr::from_edges_rect(range.size(), num_global_vertices_,
-                                   in_edges, /*with_weights=*/false);
+                                   in_edges);
     if (built_in_sets_) {
       std::vector<Edge> in_global;
       in_global.reserve(in_edges.size());
       for (const Edge& e : in_edges) {
-        in_global.push_back({e.src + range.begin, e.dst, 1.0f});
+        in_global.push_back({e.src + range.begin, e.dst});
       }
-      EdgeSetGrid::Options in_eso = edge_set_opts_;
-      in_eso.with_weights = false;
       in_sets_ = EdgeSetGrid::build(range, num_global_vertices_, in_global,
-                                    in_eso);
+                                    edge_set_opts_);
     }
   }
 

@@ -13,7 +13,6 @@ namespace cgraph {
 
 using VertexId = std::uint32_t;
 using EdgeIndex = std::uint64_t;
-using Weight = float;
 using PartitionId = std::uint32_t;
 using QueryId = std::uint32_t;
 

@@ -85,11 +85,7 @@ ReachIndex ReachIndex::build(const Graph& graph, const IndexOptions& opts) {
   return idx;
 }
 
-IndexVerdict ReachIndex::query(VertexId s, VertexId t, Depth k,
-                               bool constrained) const {
-  // Constrained queries carry semantics (weight/label budgets) the index
-  // does not model; answering them here would be unsound by construction.
-  if (constrained) return IndexVerdict::kUnknown;
+IndexVerdict ReachIndex::query(VertexId s, VertexId t, Depth k) const {
   // The zero-hop path s == t is reachable for every k >= 0 regardless of
   // index mode, build state, or epoch — answering it up front keeps the
   // trivially-reachable self query out of the label machinery (and out of

@@ -15,9 +15,7 @@
 //                   verdict is only issued for unbounded queries
 //                   (k == kUnvisitedDepth); bounded queries stay unknown.
 //   kUnknown      — neither side concluded; the caller falls back to the
-//                   traversal engine. Label-constrained queries are always
-//                   unknown: a weight budget is not indexed, so the fast
-//                   path must never answer them (see algo/constrained_reach).
+//                   traversal engine.
 //
 // The index never changes an answer — it only short-circuits queries whose
 // answer is provable — and it is immutable after build, so crash-recovery
@@ -93,11 +91,8 @@ class ReachIndex {
   static ReachIndex build(const Graph& graph, const IndexOptions& opts = {});
 
   /// Probe the index for "does s reach t within k hops?". Never traverses.
-  /// `constrained` marks a label-/weight-constrained query: the index has
-  /// no constraint knowledge, so these are unconditionally kUnknown.
   [[nodiscard]] IndexVerdict query(VertexId s, VertexId t,
-                                   Depth k = kUnvisitedDepth,
-                                   bool constrained = false) const;
+                                   Depth k = kUnvisitedDepth) const;
 
   /// Deterministic simulated cost of one probe (component lookups +
   /// per-label interval compares + one gate-word AND sweep under the

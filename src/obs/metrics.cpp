@@ -84,7 +84,13 @@ std::string json_labels(const Labels& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out.push_back(',');
     first = false;
-    out += "\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
+    // Appended piecewise: GCC 12 at -O3 raises a false -Wrestrict on the
+    // chained operator+ temporaries.
+    out.push_back('"');
+    out += json_escape(k);
+    out += "\":\"";
+    out += json_escape(v);
+    out.push_back('"');
   }
   out.push_back('}');
   return out;

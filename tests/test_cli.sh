@@ -53,7 +53,7 @@ rejected() {
 # Every subcommand, including telemetry sinks.
 ok gen --out g.bin --model rmat --scale 9 --edge-factor 8 --seed 31
 ok gen --out u.bin --model uniform --n 300 --m 2000 --seed 2
-ok gen --out w.bin --model ws --n 200 --k-ring 4 --beta 0.2 --weights
+ok gen --out w.bin --model ws --n 200 --k-ring 4 --beta 0.2
 printf '1 2\n2 3\n3 1\n10 11\n' > edges.txt
 ok convert --in edges.txt --out e.bin
 ok stats --in g.bin --machines 3 --hop-samples 4
@@ -96,7 +96,9 @@ rejected --k batch --in g.bin --k 3x
 rejected --index query --in g.bin --index sometimes
 rejected --in pagerank --iterations 3
 rejected --model gen --out x.bin --model lattice
-[ ! -e big.bin ] && [ ! -e x.bin ] || fail "a rejected gen wrote a file"
+rejected --weights gen --out wt.bin --model ws --n 200 --k-ring 4 --weights
+[ ! -e big.bin ] && [ ! -e x.bin ] && [ ! -e wt.bin ] ||
+  fail "a rejected gen wrote a file"
 
 # A figure harness given a flag it does not read, or a value that is not a
 # number or out of range, exits 2 before it builds a graph instead of

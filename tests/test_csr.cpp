@@ -8,7 +8,7 @@ namespace {
 
 std::vector<Edge> diamond() {
   // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
-  return {{0, 1, 1.f}, {0, 2, 2.f}, {1, 3, 3.f}, {2, 3, 4.f}};
+  return {{0, 1}, {0, 2}, {1, 3}, {2, 3}};
 }
 
 TEST(Csr, BasicDegreesAndNeighbors) {
@@ -35,21 +35,6 @@ TEST(Csr, ReversedBuildsCsc) {
   EXPECT_EQ(p3[1], 2u);
 }
 
-TEST(Csr, WeightsStayParallelAfterRowSort) {
-  // Insert out of order so the per-row sort has to permute weights too.
-  std::vector<Edge> edges{{0, 3, 30.f}, {0, 1, 10.f}, {0, 2, 20.f}};
-  const Csr csr = Csr::from_edges(4, edges, /*with_weights=*/true);
-  const auto n = csr.neighbors(0);
-  const auto w = csr.weights(0);
-  ASSERT_EQ(n.size(), 3u);
-  EXPECT_EQ(n[0], 1u);
-  EXPECT_EQ(w[0], 10.f);
-  EXPECT_EQ(n[1], 2u);
-  EXPECT_EQ(w[1], 20.f);
-  EXPECT_EQ(n[2], 3u);
-  EXPECT_EQ(w[2], 30.f);
-}
-
 TEST(Csr, HasEdgeBisection) {
   const Csr csr = Csr::from_edges(4, diamond());
   EXPECT_TRUE(csr.has_edge(0, 1));
@@ -65,7 +50,7 @@ TEST(Csr, EmptyGraph) {
 }
 
 TEST(Csr, IsolatedVerticesHaveZeroDegree) {
-  std::vector<Edge> edges{{2, 5, 1.f}};
+  std::vector<Edge> edges{{2, 5}};
   const Csr csr = Csr::from_edges(8, edges);
   for (VertexId v : {0u, 1u, 3u, 4u, 5u, 6u, 7u}) {
     EXPECT_EQ(csr.degree(v), 0u) << "vertex " << v;
@@ -81,7 +66,7 @@ TEST(Csr, MemoryBytesIsPlausible) {
 
 TEST(Csr, RectangularAdjacency) {
   // 2 rows, targets up to 99: the shard CSC shape.
-  std::vector<Edge> edges{{0, 90, 1.f}, {1, 5, 1.f}, {0, 7, 1.f}};
+  std::vector<Edge> edges{{0, 90}, {1, 5}, {0, 7}};
   const Csr csr = Csr::from_edges_rect(2, 100, edges);
   EXPECT_EQ(csr.num_vertices(), 2u);
   EXPECT_EQ(csr.degree(0), 2u);
@@ -91,12 +76,12 @@ TEST(Csr, RectangularAdjacency) {
 }
 
 TEST(CsrDeathTest, RectRejectsColumnOverflow) {
-  std::vector<Edge> edges{{0, 100, 1.f}};
+  std::vector<Edge> edges{{0, 100}};
   EXPECT_DEATH(Csr::from_edges_rect(2, 100, edges), "out of vertex range");
 }
 
 TEST(CsrDeathTest, OutOfRangeEndpointAborts) {
-  std::vector<Edge> edges{{0, 9, 1.f}};
+  std::vector<Edge> edges{{0, 9}};
   EXPECT_DEATH(Csr::from_edges(4, edges), "out of vertex range");
 }
 

@@ -1,6 +1,8 @@
 // Unit tests for the EdgeList ingestion container.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "graph/edge_list.hpp"
 
 namespace cgraph {
@@ -10,9 +12,9 @@ TEST(EdgeList, AddAndSize) {
   EdgeList el;
   EXPECT_TRUE(el.empty());
   el.add(0, 1);
-  el.add(1, 2, 0.5f);
+  el.add(1, 2);
   EXPECT_EQ(el.size(), 2u);
-  EXPECT_EQ(el[1].weight, 0.5f);
+  EXPECT_EQ(el[1], (Edge{1, 2}));
 }
 
 TEST(EdgeList, MaxVertexPlusOne) {
@@ -23,16 +25,16 @@ TEST(EdgeList, MaxVertexPlusOne) {
   EXPECT_EQ(el.max_vertex_plus_one(), 10u);
 }
 
-TEST(EdgeList, SortAndDedupKeepsFirstWeight) {
+TEST(EdgeList, SortAndDedupDropsDuplicatePairs) {
   EdgeList el;
-  el.add(1, 2, 9.0f);
-  el.add(0, 1, 1.0f);
-  el.add(1, 2, 3.0f);  // duplicate (src,dst)
+  el.add(1, 2);
+  el.add(0, 3);
+  el.add(1, 2);  // duplicate (src,dst)
+  el.add(0, 1);
+  el.add(1, 0);
   el.sort_and_dedup();
-  ASSERT_EQ(el.size(), 2u);
-  EXPECT_EQ(el[0].src, 0u);
-  EXPECT_EQ(el[1].src, 1u);
-  EXPECT_EQ(el[1].weight, 9.0f);  // first occurrence after stable ordering
+  const std::vector<Edge> want{{0, 1}, {0, 3}, {1, 0}, {1, 2}};
+  EXPECT_EQ(el.edges(), want);
 }
 
 TEST(EdgeList, RemoveSelfLoops) {
@@ -47,14 +49,13 @@ TEST(EdgeList, RemoveSelfLoops) {
 
 TEST(EdgeList, AddReverseEdgesSkipsSelfLoops) {
   EdgeList el;
-  el.add(0, 1, 2.0f);
+  el.add(0, 1);
   el.add(2, 2);
   el.add_reverse_edges();
   // 2 originals + 1 reverse (self-loop not duplicated)
   ASSERT_EQ(el.size(), 3u);
   EXPECT_EQ(el[2].src, 1u);
   EXPECT_EQ(el[2].dst, 0u);
-  EXPECT_EQ(el[2].weight, 2.0f);
 }
 
 TEST(EdgeList, SortDedupIdempotent) {

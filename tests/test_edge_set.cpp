@@ -13,7 +13,7 @@ namespace cgraph {
 namespace {
 
 std::vector<Edge> grid_edges() {
-  return {{0, 1, 1.f}, {0, 5, 1.f}, {1, 2, 1.f}, {2, 7, 1.f}, {3, 0, 1.f}};
+  return {{0, 1}, {0, 5}, {1, 2}, {2, 7}, {3, 0}};
 }
 
 TEST(EdgeSetGrid, PreservesAllEdges) {
@@ -115,42 +115,6 @@ TEST(EdgeSetGrid, NeighborsSortedWithinBlock) {
   }
 }
 
-TEST(EdgeSetGrid, WeightsSurviveTiling) {
-  std::vector<Edge> edges{{0, 3, 30.f}, {0, 1, 10.f}, {1, 2, 20.f}};
-  EdgeSetOptions opts;
-  opts.with_weights = true;
-  const auto grid = EdgeSetGrid::build({0, 2}, 4, edges, opts);
-  float sum = 0;
-  for (const EdgeSet& es : grid.sets()) {
-    ASSERT_TRUE(es.has_weights());
-    for (VertexId s = es.src_range().begin; s < es.src_range().end; ++s) {
-      for (float w : es.weights_of(s)) sum += w;
-    }
-  }
-  EXPECT_FLOAT_EQ(sum, 60.f);
-}
-
-TEST(EdgeSetGrid, ForEachEdgeReportsWeights) {
-  std::vector<Edge> edges{{0, 3, 30.f}, {0, 1, 10.f}, {1, 2, 20.f}};
-  EdgeSetOptions opts;
-  opts.with_weights = true;
-  const auto grid = EdgeSetGrid::build({0, 2}, 4, edges, opts);
-  std::map<std::pair<VertexId, VertexId>, float> got;
-  for (VertexId s = 0; s < 2; ++s) {
-    grid.for_each_edge(s, [&](VertexId t, Weight w) { got[{s, t}] = w; });
-  }
-  ASSERT_EQ(got.size(), 3u);
-  EXPECT_FLOAT_EQ((got[{0, 3}]), 30.f);
-  EXPECT_FLOAT_EQ((got[{0, 1}]), 10.f);
-  EXPECT_FLOAT_EQ((got[{1, 2}]), 20.f);
-}
-
-TEST(EdgeSetGrid, ForEachEdgeDefaultsWeightOne) {
-  const auto edges = grid_edges();
-  const auto grid = EdgeSetGrid::build({0, 4}, 8, edges);
-  grid.for_each_edge(0, [&](VertexId, Weight w) { EXPECT_EQ(w, 1.0f); });
-}
-
 TEST(EdgeSetGrid, EmptySourceRange) {
   const auto grid = EdgeSetGrid::build({5, 5}, 8, {});
   EXPECT_EQ(grid.num_edges(), 0u);
@@ -173,7 +137,7 @@ TEST(EdgeSetGrid, RowOfFindsCorrectRow) {
 }
 
 TEST(EdgeSetGridDeathTest, SourceOutsideRangeAborts) {
-  std::vector<Edge> edges{{9, 1, 1.f}};
+  std::vector<Edge> edges{{9, 1}};
   EXPECT_DEATH(EdgeSetGrid::build({0, 4}, 10, edges),
                "edge source outside");
 }

@@ -108,18 +108,6 @@ TEST(WattsStrogatz, NoSelfLoops) {
   for (const Edge& e : el) EXPECT_NE(e.src, e.dst);
 }
 
-TEST(RandomWeights, InRangeAndDeterministic) {
-  EdgeList a = generate_uniform(10, 50, 1);
-  EdgeList b = generate_uniform(10, 50, 1);
-  assign_random_weights(a, 1.0f, 5.0f, 9);
-  assign_random_weights(b, 1.0f, 5.0f, 9);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_GE(a[i].weight, 1.0f);
-    EXPECT_LT(a[i].weight, 5.0f);
-    EXPECT_EQ(a[i].weight, b[i].weight);
-  }
-}
-
 TEST(Datasets, Table1RegistryComplete) {
   const auto& specs = table1_datasets();
   ASSERT_EQ(specs.size(), 4u);

@@ -81,16 +81,6 @@ TEST(Graph, AverageDegree) {
   EXPECT_DOUBLE_EQ(g.average_degree(), 4.0 / 5.0);
 }
 
-TEST(Graph, WeightsPreserved) {
-  EdgeList el;
-  el.add(0, 1, 2.5f);
-  GraphBuildOptions opts;
-  opts.with_weights = true;
-  const Graph g = Graph::build(std::move(el), opts);
-  ASSERT_TRUE(g.has_weights());
-  EXPECT_EQ(g.out_csr().weights(0)[0], 2.5f);
-}
-
 TEST(DegreeStats, HandChecked) {
   // Degrees: 0 -> 3 edges, 1 -> 1 edge, 2 and 3 -> 0.
   EdgeList el;

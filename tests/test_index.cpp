@@ -7,9 +7,7 @@
 // across label counts, index modes, hop bounds, and seeds — and then
 // end-to-end through the query service under clean, chaos, and crash
 // conditions (the index is immutable read-only state, so recovery replay
-// must leave its fingerprint bit-identical). The constrained-reach
-// regression pins the routing rule: label-constrained queries never get an
-// index answer.
+// must leave its fingerprint bit-identical).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "algo/constrained_reach.hpp"
 #include "gen/arrivals.hpp"
 #include "gen/random_graphs.hpp"
 #include "graph/shard.hpp"
@@ -126,9 +123,7 @@ TEST(IndexUnit, ChainVerdictsPerMode) {
 // Regression: s == t is a structural truth (every vertex reaches itself
 // in zero hops), so a *point* probe must answer kReachable up front — for
 // any k >= 0, in every mode including kOff, on a default-constructed
-// index, and on a stale one. Constrained queries keep their routing
-// invariant: the index has no constraint knowledge, so even the identity
-// pair stays kUnknown through the constrained entry point.
+// index, and on a stale one.
 TEST(IndexUnit, SelfReachableUpFrontInEveryMode) {
   EdgeList e;
   e.add(0, 1);
@@ -144,9 +139,6 @@ TEST(IndexUnit, SelfReachableUpFrontInEveryMode) {
           << "mode=" << to_string(mode) << " k=" << unsigned{k}
           << " (isolated vertex: no labels/gates needed)";
     }
-    EXPECT_EQ(index.query(2, 2, kUnvisitedDepth, /*constrained=*/true),
-              IndexVerdict::kUnknown)
-        << "mode=" << to_string(mode);
   }
   // Default-constructed (never built) index: identity still holds.
   EXPECT_EQ(ReachIndex().query(1, 1), IndexVerdict::kReachable);
@@ -284,43 +276,6 @@ TEST(IndexDeterminism, ProbeCostIsDeterministicAndTiny) {
   EXPECT_GT(index.probe_sim_seconds(), 0.0);
   EXPECT_LT(index.probe_sim_seconds(), 1e-6);
   EXPECT_EQ(index.probe_sim_seconds(), index.probe_sim_seconds());
-}
-
-// ---------------------------------------------------------------------------
-// Constrained routing regression: label-constrained queries are routed
-// around the index by construction — the verdict is always kUnknown and
-// distances are identical with and without an index installed.
-
-TEST(IndexConstrained, ConstrainedQueriesRoutedAroundIndex) {
-  EdgeList edges = generate_uniform(300, 1800, 21);
-  assign_random_weights(edges, 0.5f, 5.0f, 22);
-  const Graph g = Graph::build(std::move(edges), 300);
-  const ReachIndex index = ReachIndex::build(g);
-
-  // Even the trivially reachable probe (source -> source) must come back
-  // unknown through the constrained entry point.
-  EXPECT_EQ(index.query(5, 5, kUnvisitedDepth, /*constrained=*/true),
-            IndexVerdict::kUnknown);
-
-  const auto with = constrained_reach(g, 5, 4, 8.0, &index);
-  const auto without = constrained_reach(g, 5, 4, 8.0);
-  EXPECT_EQ(with.index_verdict, IndexVerdict::kUnknown);
-  EXPECT_EQ(without.index_verdict, IndexVerdict::kUnknown);
-  EXPECT_EQ(with.admitted, without.admitted);
-  EXPECT_EQ(with.hop_reachable, without.hop_reachable);
-  ASSERT_EQ(with.distance.size(), without.distance.size());
-  for (VertexId v = 0; v < with.distance.size(); ++v) {
-    EXPECT_EQ(with.distance[v], without.distance[v]) << "vertex " << v;
-  }
-
-  const PartitionId machines = 3;
-  const auto part = RangePartition::balanced_by_edges(g, machines);
-  const auto shards = build_shards(g, part);
-  Cluster cluster(machines);
-  const auto dist =
-      run_constrained_reach(cluster, shards, part, 5, 4, 8.0, &index);
-  EXPECT_EQ(dist.index_verdict, IndexVerdict::kUnknown);
-  EXPECT_EQ(dist.admitted, with.admitted);
 }
 
 // ---------------------------------------------------------------------------

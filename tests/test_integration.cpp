@@ -100,23 +100,6 @@ TEST(Integration, QueriesAndPageRankShareOneDeployment) {
   }
 }
 
-TEST(Integration, WeightedShardsAnswerUnweightedKhop) {
-  EdgeList el = generate_rmat({.scale = 9, .edge_factor = 5, .seed = 14});
-  assign_random_weights(el, 1.0f, 3.0f, 15);
-  GraphBuildOptions gopts;
-  gopts.with_weights = true;
-  const Graph g = Graph::build(std::move(el), VertexId{1} << 9, gopts);
-  const auto part = RangePartition::balanced_by_edges(g, 2);
-  const auto shards = build_shards(g, part);
-  Cluster cluster(2);
-
-  // Weighted shards still answer unweighted reachability correctly.
-  const KHopQuery q{0, 0, 3};
-  const auto r = run_distributed_msbfs(cluster, shards, part,
-                                       std::span(&q, 1));
-  EXPECT_EQ(r.visited[0], khop_reach_count(g, 0, 3));
-}
-
 TEST(Integration, DeterministicAcrossRuns) {
   const Graph g = make_dataset("FR-1B", /*scale_shift=*/6,
                                /*build_in_edges=*/false);

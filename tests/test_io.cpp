@@ -1,9 +1,11 @@
 // Unit tests for graph text/binary I/O and ingestion re-indexing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "graph/io.hpp"
 
@@ -33,10 +35,13 @@ TEST(Io, ParseSkipsCommentsAndBlanks) {
   EXPECT_EQ(r.edges.size(), 1u);
 }
 
-TEST(Io, ParseReadsOptionalWeight) {
-  const auto r = parse_edge_list("0 1 2.5\n1 2\n");
-  EXPECT_FLOAT_EQ(r.edges[0].weight, 2.5f);
-  EXPECT_FLOAT_EQ(r.edges[1].weight, 1.0f);
+TEST(Io, ParseIgnoresColumnsAfterDst) {
+  // Weighted SNAP files still load: a third column is skipped.
+  const auto r = parse_edge_list("0 1 2.5\n1 2\n2 0 7 x\n",
+                                 /*reindex=*/false);
+  const std::vector<Edge> want{{0, 1}, {1, 2}, {2, 0}};
+  EXPECT_EQ(r.edges.edges(), want);
+  EXPECT_EQ(r.num_vertices, 3u);
 }
 
 TEST(Io, TextFileRoundTrip) {
@@ -70,23 +75,10 @@ TEST(Io, TextSaveRoundTrip) {
   EXPECT_EQ(r.edges[1].src, 0u);
 }
 
-TEST(Io, TextSaveKeepsNonUniformWeights) {
-  EdgeList edges;
-  edges.add(0, 1, 2.5f);
-  edges.add(1, 2, 1.0f);
-  const auto path = std::filesystem::temp_directory_path() / "cg_io_w.txt";
-  save_edge_list_text(path.string(), edges);
-  const auto r = load_edge_list_text(path.string(), /*reindex=*/false);
-  std::filesystem::remove(path);
-  ASSERT_EQ(r.edges.size(), 2u);
-  EXPECT_FLOAT_EQ(r.edges[0].weight, 2.5f);
-  EXPECT_FLOAT_EQ(r.edges[1].weight, 1.0f);
-}
-
 TEST(Io, BinaryRoundTripExact) {
   EdgeList edges;
-  edges.add(0, 1, 0.5f);
-  edges.add(2, 3, 1.5f);
+  edges.add(0, 1);
+  edges.add(2, 3);
   const auto path = std::filesystem::temp_directory_path() / "cg_io_t.bin";
   save_edge_list_binary(path.string(), edges, 4);
   const auto r = load_edge_list_binary(path.string());
@@ -94,7 +86,6 @@ TEST(Io, BinaryRoundTripExact) {
   ASSERT_EQ(r.edges.size(), 2u);
   EXPECT_EQ(r.edges[1].src, 2u);
   EXPECT_EQ(r.edges[1].dst, 3u);
-  EXPECT_FLOAT_EQ(r.edges[1].weight, 1.5f);
   std::filesystem::remove(path);
 }
 
@@ -190,6 +181,29 @@ TEST(Io, BinaryRejectsBadMagic) {
   {
     std::ofstream out(path, std::ios::binary);
     out << "NOTCGRAPH_______";
+  }
+  EXPECT_THROW(load_edge_list_binary(path.string()), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
+TEST(Io, BinaryRejectsVersion1File) {
+  // A well-formed file in the old format (magic CGRAPH01, 12-byte
+  // src/dst/weight records). Its 24 body bytes pass the size check for
+  // E=2 8-byte records, and with a zero first weight the misread edges
+  // (0,1) and (0,2) are in range too, so only the magic rejects it.
+  const auto path = std::filesystem::temp_directory_path() / "cg_io_v1.bin";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write("CGRAPH01", 8);
+    const std::uint64_t v = 4, e = 2;
+    out.write(reinterpret_cast<const char*>(&v), sizeof v);
+    out.write(reinterpret_cast<const char*>(&e), sizeof e);
+    struct {
+      std::uint32_t src, dst;
+      float weight;
+    } const records[2] = {{0, 1, 0.0f}, {2, 3, 2.5f}};
+    static_assert(sizeof records == 24);
+    out.write(reinterpret_cast<const char*>(records), sizeof records);
   }
   EXPECT_THROW(load_edge_list_binary(path.string()), std::runtime_error);
   std::filesystem::remove(path);

@@ -512,9 +512,6 @@ TEST(MutationIndex, SupersededEpochIsNeverConclusive) {
   // Identity probes stay structural truths: s reaches s at any epoch.
   EXPECT_EQ(index.query(s, s), IndexVerdict::kReachable);
   EXPECT_EQ(index.query(s, s, 0), IndexVerdict::kReachable);
-  // Constrained queries stay unconditionally unknown, stale or not.
-  EXPECT_EQ(index.query(s, s, kUnvisitedDepth, /*constrained=*/true),
-            IndexVerdict::kUnknown);
 
   // A rebuild republishing at the observed epoch restores service.
   ReachIndex rebuilt = ReachIndex::build(g, {});
